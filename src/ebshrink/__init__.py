@@ -18,6 +18,7 @@ from .em import (
     init_params,
     m_step_complete,
     m_step_masked,
+    tissue_posterior,
 )
 from .errors import (
     BadConfig,
@@ -38,14 +39,8 @@ from .fileio import (
     write_fit_json,
     write_matrix_tsv,
 )
-from .linalg import Design, build_design, log_mvn_masked, log_mvn_projected, ols
-from .posterior import (
-    PriorParams,
-    TissuePosterior,
-    conditional_mean_active,
-    log_bayes_factor,
-    tissue_posterior,
-)
+from .linalg import Design, build_design, ols
+from .posterior import PriorParams, TissuePosterior
 from .simulate import (
     RiskEstimate,
     Setting,
@@ -91,14 +86,10 @@ __all__ = [
     "TissuePosterior",
     "auc",
     "build_design",
-    "conditional_mean_active",
     "e_step",
     "fit",
     "init_params",
     "kfold_cv",
-    "log_bayes_factor",
-    "log_mvn_masked",
-    "log_mvn_projected",
     "m_step_complete",
     "m_step_masked",
     "mc_bayes_risk",

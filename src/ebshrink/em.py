@@ -24,8 +24,8 @@ from scipy.special import expit
 
 from . import kernels
 from .errors import BadShape, DegenerateResponsibilities, NonFinite
-from .linalg import _checked_cholesky
-from .posterior import ETA_FLOOR, TAU_CLAMP, PriorParams, clamp_tau, tissue_posterior
+from .linalg import _apply_mask, _checked_cholesky
+from .posterior import ETA_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior, clamp_tau
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
@@ -123,8 +123,10 @@ class FitResult:
     """Outcome of :func:`fit`.
 
     loglik_trace holds the observed-data log-likelihood at the start of
-    every EM iteration; iterations == len(loglik_trace).  converged=False
-    just means max_iter was hit, the result is still usable.
+    every EM iteration; iterations == len(loglik_trace).  The loop ends on
+    an E-step, so the last entry is the log-likelihood at ``params`` and
+    the posteriors come from that same E-step.  converged=False just means
+    max_iter was hit, the result is still usable.
     """
 
     params: PriorParams
@@ -145,6 +147,7 @@ class _SuffStats:
         css[t]    = |y_t|^2,  nobs[t] = row count
 
     Complete data collapses to d = 1, u_stat = L', pb = L^-1 X'y.
+    gram_factor keeps L, which maps eigenbasis vectors back to coefficients.
     """
 
     def __init__(self, design, panel):
@@ -161,6 +164,7 @@ class _SuffStats:
             )
         self.p = p
         self.m = m
+        self.gram_factor = low
         self.complete = panel.complete
         self.nobs = counts.astype(np.float64)
         if self.complete:
@@ -225,7 +229,35 @@ def _estep_core(stats, params):
     loglik = float(np.logaddexp(a0, a1).sum())
     t_one = expit(a1 - a0)
     resp = np.column_stack((1.0 - t_one, t_one))
-    return resp, loglik
+    return resp, loglik, lg0, lg1
+
+
+def _summarize(stats, params, resp, lg0, lg1):
+    """Per-tissue posteriors from one E-step's terms at ``params``.
+
+    h is the E-step responsibility itself.  Given association, the
+    whitened coefficients L'b_t have prior N(L'beta, eta I) and precision
+    I/eta + S_t/sigma2 = V (1/eta + d/sigma2) V', so in the eigenbasis the
+    conditional mean is (sigma2 V'L'beta + eta pb) / (sigma2 + eta d).
+    Since u_stat' = L V, mapping back is b = (X'X)^-1 u_stat' c.
+    """
+    z = stats.u_stat @ params.beta
+    c = (params.sigma2 * z + params.eta * stats.pb) / (params.sigma2 + params.eta * stats.d)
+    g = np.einsum("tji,tj->ti", stats.u_stat, c)
+    cond = cho_solve((stats.gram_factor, True), g.T).T
+    log_bf = lg0 - lg1
+    log_odds = log_bf + (math.log(params.tau0) - math.log(params.tau1))
+    h = resp[:, 1]
+    return [
+        TissuePosterior(
+            h=float(h[t]),
+            post_mean=h[t] * cond[t],
+            cond_mean_active=cond[t],
+            log_bf=float(log_bf[t]),
+            log_odds=float(log_odds[t]),
+        )
+        for t in range(stats.m)
+    ]
 
 
 def _check_resp(resp, m):
@@ -392,7 +424,8 @@ def e_step(design, panel, params):
     (resp, loglik) : ndarray of shape (m, 2), float
         Rows of resp are (P[null], P[signal]) and sum to 1 exactly.
     """
-    return _estep_core(_SuffStats(design, panel), params)
+    resp, loglik, _, _ = _estep_core(_SuffStats(design, panel), params)
+    return resp, loglik
 
 
 def m_step_complete(design, panel, resp, options=None):
@@ -450,14 +483,10 @@ def fit(design, panel, options=None):
     options = options or FitOptions()
     stats = _SuffStats(design, panel)
     params = _init_from_stats(stats, options)
-    trace = []
+    resp, loglik, lg0, lg1 = _estep_core(stats, params)
+    trace = [loglik]
     converged = False
-    for _ in range(options.max_iter):
-        resp, loglik = _estep_core(stats, params)
-        trace.append(loglik)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= options.tol * (1.0 + abs(loglik)):
-            converged = True
-            break
+    while not converged and len(trace) < options.max_iter:
         try:
             if stats.complete:
                 params = _m_step_complete_core(stats, resp, options)
@@ -465,18 +494,48 @@ def fit(design, panel, options=None):
                 params = _m_step_masked_core(stats, resp, params, options)
         except DegenerateResponsibilities:
             params = _null_params(stats, options)
-            _, loglik = _estep_core(stats, params)
-            trace.append(loglik)
             converged = True
-            break
-    posteriors = []
-    for t in range(panel.m):
-        mask_t = None if stats.complete else panel.mask[:, t]
-        posteriors.append(tissue_posterior(design, panel.y[:, t], params, mask=mask_t))
+        resp, loglik, lg0, lg1 = _estep_core(stats, params)
+        trace.append(loglik)
+        converged = converged or abs(trace[-1] - trace[-2]) <= options.tol * (1.0 + abs(loglik))
     return FitResult(
         params=params,
-        posteriors=posteriors,
+        posteriors=_summarize(stats, params, resp, lg0, lg1),
         loglik_trace=np.asarray(trace, dtype=np.float64),
         iterations=len(trace),
         converged=converged,
     )
+
+
+def tissue_posterior(design, y, params, mask=None):
+    """Full posterior summary for one tissue.
+
+    Parameters
+    ----------
+    design : Design
+    y : array_like
+        All n responses, or the observed ones when ``mask`` is given.
+    params : PriorParams
+    mask : array_like of bool, optional
+        Observation indicator of length n; None means fully observed.
+
+    Returns
+    -------
+    TissuePosterior
+
+    Raises
+    ------
+    BadShape
+        If fewer than p+1 rows are observed.
+    """
+    _, y_obs = _apply_mask(design, y, mask)
+    if mask is None:
+        panel = ResponsePanel(y_obs[:, None])
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        col = np.full(design.n, np.nan)
+        col[mask] = y_obs
+        panel = ResponsePanel(col[:, None], mask=mask[:, None])
+    stats = _SuffStats(design, panel)
+    resp, _, lg0, lg1 = _estep_core(stats, params)
+    return _summarize(stats, params, resp, lg0, lg1)[0]

@@ -204,10 +204,18 @@ def read_fit_json(path):
     The conditional means are reconstructed as post_mean / h; when h
     underflows to zero the conditional mean is unrecoverable and zeros
     are stored (post_mean is zero there too).
+
+    Raises
+    ------
+    ParseError
+        Malformed JSON, missing or mistyped fields, an h outside [0, 1] or
+        a post_mean whose length differs from beta's.
+    NonFinite
+        Non-finite parameters or posterior summaries.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         params = PriorParams(
             tau1=float(doc["params"]["tau1"]),
             beta=np.asarray(doc["params"]["beta"], dtype=np.float64),
@@ -217,17 +225,29 @@ def read_fit_json(path):
         names = []
         posteriors = []
         for entry in doc["posteriors"]:
-            names.append(str(entry["tissue"]))
+            name = str(entry["tissue"])
+            names.append(name)
             h = float(entry["h"])
+            if not 0.0 <= h <= 1.0:
+                raise ParseError(f"{path}: tissue {name!r} has h = {h!r} outside [0, 1]")
             post_mean = np.asarray(entry["post_mean"], dtype=np.float64)
+            if post_mean.shape != params.beta.shape:
+                raise ParseError(
+                    f"{path}: tissue {name!r} has post_mean of shape {post_mean.shape}, "
+                    f"beta has {params.beta.shape}"
+                )
+            log_bf = float(entry["log_bf"])
+            log_odds = float(entry["log_odds"])
+            if not np.all(np.isfinite(np.append(post_mean, (log_bf, log_odds)))):
+                raise NonFinite(f"{path}: tissue {name!r} has a non-finite posterior summary")
             cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
             posteriors.append(
                 TissuePosterior(
                     h=h,
                     post_mean=post_mean,
                     cond_mean_active=cond,
-                    log_bf=float(entry["log_bf"]),
-                    log_odds=float(entry["log_odds"]),
+                    log_bf=log_bf,
+                    log_odds=log_odds,
                 )
             )
         result = FitResult(
@@ -237,7 +257,7 @@ def read_fit_json(path):
             iterations=int(doc["iterations"]),
             converged=bool(doc["converged"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit report ({exc})") from exc
     if not np.all(np.isfinite(result.params.beta)):
         raise NonFinite(f"{path}: non-finite parameters")

@@ -1,20 +1,11 @@
-"""Design-matrix factorizations and low-rank Gaussian log-densities.
-
-The error covariances that appear in this model all have the form
-``sigma2*I + eta*H`` with ``H`` the hat matrix of a fixed design ``X``
-(or of a row subset of it).  ``H`` has rank p << n, so every log-density
-here is evaluated through p x p factorizations; no n x n matrix is ever
-formed.
-"""
+"""Designs, their Cholesky factorization, and least squares."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import BadShape, NonFinite, RankDeficient
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 # relative pivot tolerance for declaring a Gram matrix singular
 PIVOT_RTOL = 1e-12
@@ -143,113 +134,3 @@ def ols(design, y, mask=None):
     sub_gram = 0.5 * (sub_gram + sub_gram.T)
     factor = _checked_cholesky(sub_gram, "observed-row X'X")
     return cho_solve((factor, True), xm.T @ ym)
-
-
-def log_mvn_projected(resid, sigma2, eta, design):
-    """Log-density of N(0, sigma2*I + eta*H) at ``resid``.
-
-    ``H = X (X'X)^-1 X'`` is the hat matrix of the full design.  Splitting
-    ``resid`` into its projection ``u`` onto the column space and the
-    orthogonal remainder gives
-
-        -(n/2) log 2pi - (1/2) [p log(sigma2+eta) + (n-p) log sigma2]
-        - (1/2) [|u|^2/(sigma2+eta) + |resid-u|^2/sigma2]
-
-    evaluated in O(n p) time.
-
-    Parameters
-    ----------
-    resid : array_like of shape (n,)
-    sigma2 : float
-        Noise variance, > 0.
-    eta : float
-        Prior spread along the column space, >= 0.
-    design : Design
-    """
-    _check_variances(sigma2, eta)
-    resid = np.asarray(resid, dtype=np.float64)
-    if resid.shape != (design.n,):
-        raise BadShape(f"residual must have shape ({design.n},), got {resid.shape}")
-    if not np.all(np.isfinite(resid)):
-        raise NonFinite("residual contains NaN or infinite entries")
-    proj = cho_solve((design.gram_factor, True), design.x.T @ resid)
-    u = design.x @ proj
-    uu = float(u @ u)
-    vv = float((resid - u) @ (resid - u))
-    n, p = design.n, design.p
-    logdet = p * np.log(sigma2 + eta) + (n - p) * np.log(sigma2)
-    quad = uu / (sigma2 + eta) + vv / sigma2
-    return float(-0.5 * (n * LOG_2PI + logdet + quad))
-
-
-def log_mvn_masked(resid, sigma2, eta, design, mask):
-    """Log-density of N(0, sigma2*I + eta*H_t) at the observed residuals.
-
-    ``H_t = X_t (X'X)^-1 X_t'`` where ``X_t`` keeps the masked-in rows but
-    the inverse uses the full Gram matrix, so H_t is not a projection.  With
-    ``B = sigma2 * X'X + eta * X_t'X_t`` the Woodbury identity gives
-
-        log det = (n_t - p) log sigma2 + log det B - log det X'X
-        quad    = |r|^2/sigma2 - (eta/sigma2) * s' B^-1 s,   s = X_t' r
-
-    Parameters
-    ----------
-    resid : array_like of shape (n_t,)
-        Residuals at the observed rows only.
-    sigma2, eta : float
-    design : Design
-    mask : array_like of bool of shape (n,)
-    """
-    _check_variances(sigma2, eta)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (design.n,):
-        raise BadShape(f"mask must have shape ({design.n},), got {mask.shape}")
-    n_obs = int(mask.sum())
-    resid = np.asarray(resid, dtype=np.float64)
-    if resid.shape != (n_obs,):
-        raise BadShape(f"residual must have shape ({n_obs},), got {resid.shape}")
-    if not np.all(np.isfinite(resid)):
-        raise NonFinite("residual contains NaN or infinite entries")
-    xm = design.x[mask]
-    sub_gram = xm.T @ xm
-    b = sigma2 * design.gram + eta * sub_gram
-    b = 0.5 * (b + b.T)
-    b_factor = _checked_cholesky(b, "sigma2*X'X + eta*Xt'Xt")
-    s = xm.T @ resid
-    logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(b_factor))))
-    logdet_gram = 2.0 * float(np.sum(np.log(np.diagonal(design.gram_factor))))
-    p = design.p
-    logdet = (n_obs - p) * np.log(sigma2) + logdet_b - logdet_gram
-    quad = float(resid @ resid) / sigma2
-    if eta > 0.0:
-        quad -= (eta / sigma2) * float(s @ cho_solve((b_factor, True), s))
-    return float(-0.5 * (n_obs * LOG_2PI + logdet + quad))
-
-
-def log_iid_normal(y, sigma2):
-    """Log-density of N(0, sigma2*I) at ``y``; the null-component density."""
-    _check_variances(sigma2, 0.0)
-    y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("input contains NaN or infinite entries")
-    n = y.size
-    return float(-0.5 * (n * (LOG_2PI + np.log(sigma2)) + float(y @ y) / sigma2))
-
-
-def _check_variances(sigma2, eta):
-    if not np.isfinite(sigma2) or not np.isfinite(eta):
-        raise NonFinite("variance parameters must be finite")
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if eta < 0.0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-
-
-def solve_gram(design, rhs):
-    """Solve ``(X'X) z = rhs`` using the cached factorization."""
-    return cho_solve((design.gram_factor, True), rhs)
-
-
-def half_solve(design, rhs):
-    """Solve ``L z = rhs`` for the lower Cholesky factor L of X'X."""
-    return solve_triangular(design.gram_factor, rhs, lower=True)

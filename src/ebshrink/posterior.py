@@ -9,23 +9,15 @@ response is the two-component mixture
 
 and the posterior mean of the coefficients is the association probability
 times the precision-weighted blend of the prior mean and the least-squares
-estimate.
+estimate.  The summaries are computed in :mod:`ebshrink.em` from the same
+sufficient statistics and E-step terms the fit uses.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import expit
 
 from .errors import NonFinite
-from .linalg import (
-    _checked_cholesky,
-    log_iid_normal,
-    log_mvn_masked,
-    log_mvn_projected,
-    ols,
-)
 
 # clamp bounds keeping the mixture weights and prior spread away from the
 # boundary, where the log-densities and odds degenerate
@@ -93,83 +85,3 @@ class TissuePosterior:
     cond_mean_active: np.ndarray
     log_bf: float
     log_odds: float
-
-
-def _component_logliks(design, y, mask, params):
-    """Log-densities of the null and signal components at the observed y."""
-    if mask is None or bool(np.all(mask)):
-        y_obs = np.asarray(y, dtype=np.float64)
-        resid = y_obs - design.x @ params.beta
-        lg1 = log_mvn_projected(resid, params.sigma2, params.eta, design)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        y_obs = np.asarray(y, dtype=np.float64)
-        if y_obs.shape == (design.n,):
-            y_obs = y_obs[mask]
-        resid = y_obs - design.x[mask] @ params.beta
-        lg1 = log_mvn_masked(resid, params.sigma2, params.eta, design, mask)
-    lg0 = log_iid_normal(y_obs, params.sigma2)
-    return lg0, lg1
-
-
-def log_bayes_factor(design, y, params, mask=None):
-    """Log Bayes factor for no association, log psi0(y) - log psi1(y).
-
-    Positive values favor the null (zero coefficients); the posterior odds
-    of the null are ``exp(log_bf) * tau0/tau1``.
-    """
-    lg0, lg1 = _component_logliks(design, y, mask, params)
-    return float(lg0 - lg1)
-
-
-def conditional_mean_active(design, y, params, mask=None):
-    """Posterior mean of the coefficients given the tissue carries signal.
-
-    Complete data: (1/eta + 1/sigma2)^-1 (beta/eta + betahat/sigma2), a
-    scalar blend because prior and likelihood share the X'X geometry.
-    Masked data blends through the two Gram matrices:
-    (X'X/eta + Xt'Xt/sigma2)^-1 (X'X beta/eta + Xt' y_obs/sigma2).
-    """
-    full = mask is None or bool(np.all(mask))
-    if full:
-        betahat = ols(design, y)
-        weight = 1.0 / (1.0 / params.eta + 1.0 / params.sigma2)
-        return weight * (params.beta / params.eta + betahat / params.sigma2)
-    mask = np.asarray(mask, dtype=bool)
-    y_obs = np.asarray(y, dtype=np.float64)
-    if y_obs.shape == (design.n,):
-        y_obs = y_obs[mask]
-    xm = design.x[mask]
-    a = design.gram / params.eta + (xm.T @ xm) / params.sigma2
-    a = 0.5 * (a + a.T)
-    rhs = design.gram @ params.beta / params.eta + xm.T @ y_obs / params.sigma2
-    return cho_solve((_checked_cholesky(a, "posterior precision"), True), rhs)
-
-
-def tissue_posterior(design, y, params, mask=None):
-    """Full posterior summary for one tissue.
-
-    Parameters
-    ----------
-    design : Design
-    y : array_like
-        All n responses, or the observed ones when ``mask`` is given.
-    params : PriorParams
-    mask : array_like of bool, optional
-        Observation indicator of length n; None means fully observed.
-
-    Returns
-    -------
-    TissuePosterior
-    """
-    log_bf = log_bayes_factor(design, y, params, mask=mask)
-    log_odds = log_bf + float(np.log(params.tau0) - np.log(params.tau1))
-    h = float(expit(-log_odds))
-    cond = conditional_mean_active(design, y, params, mask=mask)
-    return TissuePosterior(
-        h=h,
-        post_mean=h * cond,
-        cond_mean_active=cond,
-        log_bf=log_bf,
-        log_odds=log_odds,
-    )

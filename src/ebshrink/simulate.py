@@ -17,10 +17,10 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from ._parallel import parallel_map
-from .em import FitOptions, ResponsePanel, fit
+from .em import FitOptions, ResponsePanel, fit, tissue_posterior
 from .errors import BadConfig, BadShape, DegenerateLabels, EbshrinkError, NonFinite
 from .linalg import Design, build_design, ols
-from .posterior import PriorParams, tissue_posterior
+from .posterior import PriorParams
 
 # pool size for the synthetic genotype panel in setting 4
 GENOTYPE_POOL_ROWS = 838
@@ -389,14 +389,6 @@ def run_replications(config, reps, options=None):
         failed=failed,
     )
     return SimReport(rows=(row,))
-
-
-def merge_reports(reports):
-    """Concatenate report rows, preserving order."""
-    rows = []
-    for rep in reports:
-        rows.extend(rep.rows)
-    return SimReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,6 @@ def dense_hat(x):
     return x @ np.linalg.solve(x.T @ x, x.T)
 
 
-def dense_cov_projected(x, sigma2, eta):
-    n = x.shape[0]
-    return sigma2 * np.eye(n) + eta * dense_hat(x)
-
-
 def dense_cov_masked(x, mask, sigma2, eta):
     """sigma2*I + eta * X_t (X'X)^-1 X_t' on the observed rows."""
     xm = x[np.asarray(mask, dtype=bool)]

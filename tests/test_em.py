@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from ebshrink.em import (
     FitOptions,
     ResponsePanel,
+    _estep_core,
+    _SuffStats,
     e_step,
     fit,
     init_params,
@@ -232,6 +234,26 @@ class TestFit:
         for tp in res.posteriors:
             assert 0.0 <= tp.h <= 1.0
             assert tp.post_mean.shape == (2,)
+
+    @pytest.mark.parametrize("missing", [0, 5])
+    def test_posteriors_come_from_final_estep(self, missing):
+        rng = np.random.default_rng(90)
+        d, panel = random_problem(rng, n=20, p=3, m=8, missing=missing)
+        res = fit(d, panel)
+        resp, loglik, lg0, lg1 = _estep_core(_SuffStats(d, panel), res.params)
+        assert loglik == res.loglik_trace[-1]
+        assert [tp.h for tp in res.posteriors] == list(resp[:, 1])
+        assert [tp.log_bf for tp in res.posteriors] == list(lg0 - lg1)
+
+    def test_max_iter_ends_on_estep(self):
+        # the last trace entry and h belong to the returned params
+        rng = np.random.default_rng(91)
+        d, panel = random_problem(rng, n=20, p=3, m=30, missing=5)
+        res = fit(d, panel, FitOptions(max_iter=2))
+        assert res.iterations == 2 and not res.converged
+        resp, loglik = e_step(d, panel, res.params)
+        assert loglik == res.loglik_trace[-1]
+        assert [tp.h for tp in res.posteriors] == list(resp[:, 1])
 
     def test_tau_recovery(self):
         # enough tissues pins the mixing weight near its generating value

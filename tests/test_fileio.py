@@ -1,11 +1,13 @@
 """TSV parsing/writing and the fit JSON round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ebshrink.crossval import predict
 from ebshrink.em import ResponsePanel, fit
-from ebshrink.errors import NaInCovariates, ParseError
+from ebshrink.errors import NaInCovariates, NonFinite, ParseError
 from ebshrink.fileio import (
     fmt,
     read_fit_json,
@@ -155,3 +157,24 @@ class TestFitJson:
         back, _ = read_fit_json(str(p))
         probe = np.random.default_rng(94).standard_normal((7, 3))
         assert np.array_equal(predict(probe, back), predict(probe, res))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda text: re.sub(r'"post_mean": \[[^,]*', '"post_mean": [NaN', text, count=1),
+             NonFinite),
+            (lambda text: text.replace('"post_mean": [', '"post_mean": [1.5, ', 1), ParseError),
+            (lambda text: re.sub(r'"h": [^,]*', '"h": 7', text, count=1), ParseError),
+            (lambda text: text[: len(text) // 2], ParseError),
+        ],
+        ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated"],
+    )
+    def test_bad_report_rejected(self, tmp_path, edit, error):
+        _, panel, res = self.fitted()
+        p = tmp_path / "fit.json"
+        write_fit_json(p, res, panel.tissue_names)
+        text = p.read_text(encoding="utf-8")
+        bad = edit(text)
+        assert bad != text
+        with pytest.raises(error):
+            read_fit_json(write_text(tmp_path / "bad.json", bad))

@@ -1,5 +1,7 @@
 """The two kernel backends agree with each other and with the dense route."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,6 @@ from numpy.testing import assert_allclose
 from ebshrink import _kernels_py, kernels
 from ebshrink.em import ResponsePanel, _SuffStats
 from ebshrink.linalg import build_design
-from ebshrink.posterior import PriorParams
 
 from oracles import dense_component_logliks
 
@@ -36,19 +37,25 @@ def random_stats(rng, n=12, p=3, m=5, masked=True):
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.__name__.rsplit("_", 1)[-1])
 def test_component_loglik_matches_dense(impl):
+    # the kernel is the only component density in the package, so it is
+    # checked on both statistics layouts and at the eta = 0 boundary
     rng = np.random.default_rng(40)
-    design, panel, stats = random_stats(rng)
-    params = PriorParams(tau1=0.4, beta=rng.standard_normal(3), eta=2.5, sigma2=1.3)
-    w2, rss = stats.residual_stats(params.beta)
-    lg0, lg1 = impl.component_loglik(
-        stats.d, w2, rss, stats.css, stats.nobs, params.sigma2, params.eta
-    )
-    for t in range(panel.m):
-        ref0, ref1 = dense_component_logliks(
-            design.x, panel.y[:, t], panel.mask[:, t], params
-        )
-        assert_allclose(lg0[t], ref0, rtol=1e-10)
-        assert_allclose(lg1[t], ref1, rtol=1e-10)
+    for masked in (True, False):
+        design, panel, stats = random_stats(rng, masked=masked)
+        beta = rng.standard_normal(3)
+        for eta in (2.5, 0.0):
+            # a namespace, not PriorParams, which would floor eta at 1e-10
+            params = SimpleNamespace(beta=beta, eta=eta, sigma2=1.3)
+            w2, rss = stats.residual_stats(beta)
+            lg0, lg1 = impl.component_loglik(
+                stats.d, w2, rss, stats.css, stats.nobs, params.sigma2, eta
+            )
+            for t in range(panel.m):
+                ref0, ref1 = dense_component_logliks(
+                    design.x, panel.y[:, t], panel.mask[:, t], params
+                )
+                assert_allclose(lg0[t], ref0, rtol=1e-10)
+                assert_allclose(lg1[t], ref1, rtol=1e-10)
 
 
 def test_backends_agree():

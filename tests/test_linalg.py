@@ -1,20 +1,11 @@
-"""Design construction, OLS, and the low-rank Gaussian log-densities."""
+"""Design construction and OLS."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import simpson
 
 from ebshrink.errors import BadShape, NonFinite, RankDeficient
-from ebshrink.linalg import (
-    build_design,
-    log_iid_normal,
-    log_mvn_masked,
-    log_mvn_projected,
-    ols,
-)
-
-from oracles import dense_cov_masked, dense_cov_projected, dense_logpdf
+from ebshrink.linalg import build_design, ols
 
 
 def random_design(rng, n, p):
@@ -95,122 +86,3 @@ class TestOls:
         # keep two rows: 2 < p, observed Gram singular
         with pytest.raises(RankDeficient):
             ols(d, y, mask=[True, True, False, False, False])
-
-
-class TestLogMvnProjected:
-    def test_standard_normal_at_mode(self):
-        d = build_design([[1.0], [1.0]])
-        val = log_mvn_projected(np.zeros(2), 1.0, 0.0, d)
-        assert_allclose(val, -np.log(2.0 * np.pi), rtol=1e-12)
-
-    def test_hand_value_in_column_space(self):
-        # resid lies in col(X), so the quad form is |r|^2/(sigma2+eta)
-        d = build_design([[1.0], [1.0]])
-        val = log_mvn_projected(np.array([1.0, 1.0]), 1.0, 1.0, d)
-        expected = -np.log(2.0 * np.pi) - 0.5 * np.log(2.0) - 0.5
-        assert_allclose(val, expected, rtol=1e-12)
-        assert_allclose(val, -2.6844506566893176, rtol=1e-12)
-
-    def test_dense_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            x = rng.standard_normal((5, 2))
-            d = build_design(x)
-            resid = rng.standard_normal(5)
-            sigma2 = float(rng.uniform(0.2, 3.0))
-            eta = float(rng.uniform(0.0, 5.0))
-            ref = dense_logpdf(resid, dense_cov_projected(x, sigma2, eta))
-            assert_allclose(log_mvn_projected(resid, sigma2, eta, d), ref, rtol=1e-10)
-
-    def test_rotation_invariance(self):
-        # orthogonal maps preserving col(X) and its complement leave the
-        # density unchanged
-        rng = np.random.default_rng(22)
-        x = rng.standard_normal((8, 3))
-        d = build_design(x)
-        q_col, _ = np.linalg.qr(x)
-        q_full, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        basis_perp = q_full - q_col @ (q_col.T @ q_full)
-        q_perp, _ = np.linalg.qr(basis_perp)
-        q_perp = q_perp[:, :5]
-
-        def random_rotation(k):
-            a, _ = np.linalg.qr(rng.standard_normal((k, k)))
-            return a
-
-        rot = (
-            q_col @ random_rotation(3) @ q_col.T
-            + q_perp @ random_rotation(5) @ q_perp.T
-        )
-        assert_allclose(rot @ rot.T, np.eye(8), atol=1e-10)
-        resid = rng.standard_normal(8)
-        v1 = log_mvn_projected(resid, 1.3, 2.1, d)
-        v2 = log_mvn_projected(rot @ resid, 1.3, 2.1, d)
-        assert_allclose(v1, v2, rtol=1e-9)
-
-    def test_density_integrates_to_one(self):
-        # n=2, p=1: Simpson quadrature of exp(logpdf) over a wide box
-        d = build_design([[1.0], [0.5]])
-        sigma2, eta = 1.0, 0.7
-        lim = 9.0 * np.sqrt(sigma2 + eta)
-        grid = np.linspace(-lim, lim, 201)
-        vals = np.empty((201, 201))
-        for i, a in enumerate(grid):
-            for j, b in enumerate(grid):
-                vals[i, j] = np.exp(
-                    log_mvn_projected(np.array([a, b]), sigma2, eta, d)
-                )
-        total = simpson(simpson(vals, x=grid, axis=1), x=grid)
-        assert abs(total - 1.0) < 1e-4
-
-    def test_domain_errors(self):
-        d = build_design([[1.0], [1.0]])
-        with pytest.raises(ValueError):
-            log_mvn_projected(np.zeros(2), -1.0, 0.0, d)
-        with pytest.raises(ValueError):
-            log_mvn_projected(np.zeros(2), 1.0, -0.5, d)
-        with pytest.raises(NonFinite):
-            log_mvn_projected(np.array([np.nan, 0.0]), 1.0, 0.0, d)
-        with pytest.raises(BadShape):
-            log_mvn_projected(np.zeros(3), 1.0, 0.0, d)
-
-
-class TestLogMvnMasked:
-    def test_full_mask_equals_projected(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((7, 2))
-        d = build_design(x)
-        resid = rng.standard_normal(7)
-        full = np.ones(7, dtype=bool)
-        v_masked = log_mvn_masked(resid, 0.8, 1.7, d, full)
-        v_proj = log_mvn_projected(resid, 0.8, 1.7, d)
-        assert_allclose(v_masked, v_proj, rtol=1e-10)
-
-    def test_eta_zero_is_iid(self):
-        rng = np.random.default_rng(32)
-        x = rng.standard_normal((6, 2))
-        d = build_design(x)
-        mask = np.array([True, False, True, True, False, True])
-        resid = rng.standard_normal(4)
-        v = log_mvn_masked(resid, 1.4, 0.0, d, mask)
-        ref = log_iid_normal(resid, 1.4)
-        assert_allclose(v, ref, rtol=1e-12)
-
-    def test_dense_oracle(self):
-        rng = np.random.default_rng(33)
-        for _ in range(25):
-            x = rng.standard_normal((6, 2))
-            d = build_design(x)
-            mask = np.ones(6, dtype=bool)
-            mask[rng.choice(6, size=2, replace=False)] = False
-            resid = rng.standard_normal(4)
-            sigma2 = float(rng.uniform(0.2, 3.0))
-            eta = float(rng.uniform(0.0, 5.0))
-            ref = dense_logpdf(resid, dense_cov_masked(x, mask, sigma2, eta))
-            got = log_mvn_masked(resid, sigma2, eta, d, mask)
-            assert_allclose(got, ref, rtol=1e-10)
-
-    def test_shape_errors(self):
-        d = build_design(np.eye(3)[:, :1] + 1.0)
-        with pytest.raises(BadShape):
-            log_mvn_masked(np.zeros(3), 1.0, 1.0, d, np.array([True, False, True]))

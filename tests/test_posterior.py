@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ebshrink.errors import NonFinite
+from ebshrink.em import tissue_posterior
+from ebshrink.errors import BadShape, NonFinite
 from ebshrink.linalg import build_design, ols
-from ebshrink.posterior import (
-    PriorParams,
-    conditional_mean_active,
-    log_bayes_factor,
-    tissue_posterior,
-)
+from ebshrink.posterior import PriorParams
 
 from oracles import (
     dense_component_logliks,
@@ -134,11 +130,25 @@ class TestTissuePosterior:
         y = rng.standard_normal(9)
         mask = np.array([True] * 6 + [False] * 3)
         params = PriorParams(tau1=0.5, beta=np.array([1.0, -1.0]), eta=2.0, sigma2=0.7)
-        got = conditional_mean_active(d, y, params, mask=mask)
+        got = tissue_posterior(d, y, params, mask=mask).cond_mean_active
         xm = x[mask]
         lhs = d.gram / params.eta + xm.T @ xm / params.sigma2
         rhs = d.gram @ params.beta / params.eta + xm.T @ y[mask] / params.sigma2
         assert_allclose(lhs @ got, rhs, rtol=1e-9)
+
+
+    def test_rejects_bad_input(self):
+        d = build_design(np.random.default_rng(62).standard_normal((6, 2)))
+        params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=1.0, sigma2=1.0)
+        with pytest.raises(NonFinite):
+            tissue_posterior(d, np.array([np.nan, 0, 0, 0, 0, 0.0]), params)
+        with pytest.raises(BadShape):
+            tissue_posterior(d, np.zeros(5), params)
+        with pytest.raises(BadShape):
+            tissue_posterior(d, np.zeros(6), params, mask=np.ones(5, dtype=bool))
+        # two observed rows are fewer than p+1 = 3
+        with pytest.raises(BadShape):
+            tissue_posterior(d, np.zeros(2), params, mask=[True, True] + [False] * 4)
 
 
 class TestLogBayesFactor:
@@ -147,7 +157,7 @@ class TestLogBayesFactor:
         d = build_design(rng.standard_normal((7, 2)))
         y = rng.standard_normal(7)
         params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=0.0, sigma2=1.0)
-        assert abs(log_bayes_factor(d, y, params)) < 1e-6
+        assert abs(tissue_posterior(d, y, params).log_bf) < 1e-6
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(58)
@@ -162,7 +172,7 @@ class TestLogBayesFactor:
                 sigma2=float(rng.uniform(0.5, 2.0)),
             )
             ref0, ref1 = dense_component_logliks(x, y, None, params)
-            assert_allclose(log_bayes_factor(d, y, params), ref0 - ref1, atol=1e-9)
+            assert_allclose(tissue_posterior(d, y, params).log_bf, ref0 - ref1, atol=1e-9)
 
     def test_even_prior_odds(self):
         rng = np.random.default_rng(59)
@@ -178,8 +188,8 @@ class TestLogBayesFactor:
         d = build_design(rng.standard_normal((8, 2)))
         y = rng.standard_normal(8)
         params = PriorParams(tau1=0.5, beta=np.ones(2) * 0.3, eta=1.0, sigma2=1.0)
-        base = log_bayes_factor(d, y, params)
-        bumped = log_bayes_factor(d, y + 1e-6, params)
+        base = tissue_posterior(d, y, params).log_bf
+        bumped = tissue_posterior(d, y + 1e-6, params).log_bf
         assert abs(bumped - base) <= 1e-3
 
     def test_h_equals_direct_ratio(self):

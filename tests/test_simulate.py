@@ -13,7 +13,6 @@ from ebshrink.simulate import (
     SimReport,
     auc,
     mc_bayes_risk,
-    merge_reports,
     model_prior_params,
     mse,
     ols_estimator,
@@ -198,12 +197,6 @@ class TestRunReplications:
         a = run_replications(self.small_config(), reps=3).to_csv()
         b = run_replications(self.small_config(), reps=3).to_csv()
         assert a == b
-
-    def test_merge_reports(self):
-        a = run_replications(self.small_config(seed=1), reps=2)
-        b = run_replications(self.small_config(seed=2), reps=2)
-        merged = merge_reports([a, b])
-        assert merged.rows == a.rows + b.rows
 
     def test_bad_reps(self):
         with pytest.raises(BadConfig):
