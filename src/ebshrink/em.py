@@ -4,10 +4,12 @@ All tissues share one design X.  The E-step computes per-tissue
 responsibilities for the signal component; the M-step updates
 (tau1, beta, eta, sigma2).  With complete data all four updates are closed
 form.  With missing rows tau1 and beta stay closed form (beta as a
-responsibility-weighted GLS at the current variance parameters) while
-(sigma2, eta) are updated by bracketed golden-section coordinate ascent on
-the EM objective, which makes the step a generalized M-step: the objective
-never decreases, so the observed-data log-likelihood is still monotone.
+responsibility-weighted GLS at the current variance parameters).  Because
+the slab covariance is eta (X'X)^-1, fixing the ratio r = eta/sigma2 leaves
+an objective maximized by sigma2 in closed form, so (sigma2, eta) are
+updated by one bracketed golden-section search over r.  Each update is a
+conditional maximization that never decreases the EM objective, so the
+observed-data log-likelihood is still monotone.
 
 Everything the inner loop needs is reduced once per fit to per-tissue
 statistics in the eigenbasis of the whitened sub-Gram matrices
@@ -36,23 +38,17 @@ class FitOptions:
     """Knobs for :func:`fit`.
 
     tol is the relative log-likelihood change declaring convergence;
-    eta_floor and tau_clamp keep the prior parameters off the boundary.
+    max_iter caps the EM iterations.
     """
 
     tol: float = 1e-8
     max_iter: int = 1000
-    eta_floor: float = 1e-10
-    tau_clamp: float = 1e-6
 
     def __post_init__(self):
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.eta_floor >= ETA_FLOOR:
-            raise ValueError(f"eta_floor must be >= {ETA_FLOOR}, got {self.eta_floor}")
-        if not TAU_CLAMP <= self.tau_clamp < 0.5:
-            raise ValueError(f"tau_clamp must be in [{TAU_CLAMP}, 0.5), got {self.tau_clamp}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def _check_resp(resp, m):
     return np.clip(resp, 0.0, 1.0)
 
 
-def _m_step_complete_core(stats, resp, options):
+def _m_step_complete_core(stats, resp):
     t_one = resp[:, 1]
     mass = float(t_one.sum())
     if mass < DEGENERATE_MASS:
@@ -278,7 +274,7 @@ def _m_step_complete_core(stats, resp, options):
         )
     m, p = stats.m, stats.p
     n = float(stats.nobs[0])
-    tau1 = clamp_tau(mass / m, options.tau_clamp)
+    tau1 = clamp_tau(mass / m)
     beta = (stats.betahat.T @ t_one) / mass
     yhy = np.sum(stats.pb**2, axis=1)
     css_total = float(stats.css.sum())
@@ -287,10 +283,10 @@ def _m_step_complete_core(stats, resp, options):
     lt_beta = stats.u_stat[0] @ beta
     col_rss = np.sum((stats.pb - lt_beta) ** 2, axis=1)
     eta = float(t_one @ col_rss) / (p * mass) - sigma2
-    if eta < options.eta_floor:
+    if eta < ETA_FLOOR:
         # boundary case: with eta pinned (effectively 0) the constrained
         # maximizer of the objective pools all residual variation
-        eta = options.eta_floor
+        eta = ETA_FLOOR
         sigma2 = (css_total - float(t_one @ yhy) + float(t_one @ col_rss)) / (m * n)
     sigma2 = max(sigma2, np.finfo(np.float64).tiny)
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
@@ -300,14 +296,14 @@ def _golden_max(fun, start, lo, hi, rel_tol=1e-6, max_expand=80):
     """Maximize a unimodal fun over [lo, hi] by golden section in log space.
 
     Every probe is kept as a candidate, so the returned point is never
-    worse than ``start``.
+    worse than ``start``.  Returns the best point and its value.
     """
     if not lo > 0.0:
         raise ValueError("golden-section bounds must be positive")
-    if hi <= lo * (1.0 + 1e-12):
-        return min(max(start, lo), hi)
     start = min(max(start, lo), hi)
     best = [start, fun(start)]
+    if hi <= lo * (1.0 + 1e-12):
+        return tuple(best)
 
     def probe(u):
         x = math.exp(u)
@@ -346,14 +342,14 @@ def _golden_max(fun, start, lo, hi, rel_tol=1e-6, max_expand=80):
             ua, u1, f1 = u1, u2, f2
             u2 = ua + invphi * (ub - ua)
             f2 = probe(u2)
-    return best[0]
+    return tuple(best)
 
 
-def _m_step_masked_core(stats, resp, current, options, sweeps=3):
+def _m_step_masked_core(stats, resp, current):
     t_zero = np.ascontiguousarray(resp[:, 0])
     t_one = np.ascontiguousarray(resp[:, 1])
     mass = float(t_one.sum())
-    tau1 = clamp_tau(mass / stats.m, options.tau_clamp)
+    tau1 = clamp_tau(mass / stats.m)
 
     if mass < DEGENERATE_MASS:
         beta = current.beta
@@ -379,28 +375,45 @@ def _m_step_masked_core(stats, resp, current, options, sweeps=3):
             d, w2, rss, css, nobs, t_zero, t_one, sigma2, eta
         )
 
+    # With eta = r * sigma2 every component density has the form
+    # -0.5 * (nobs log sigma2 + Q_t(r) / sigma2 + const(r)), so for fixed r
+    # the objective peaks at sigma2 = Q(r) / A and only r is searched.
     scale = stats.data_scale()
     s2_lo, s2_hi = 1e-12 * scale, 1e12 * scale
-    eta_lo, eta_hi = options.eta_floor, 1e14 * scale
-    sigma2 = float(min(max(current.sigma2, s2_lo), s2_hi))
-    eta = float(min(max(current.eta, eta_lo), eta_hi))
-    for _ in range(sweeps):
-        sigma2 = _golden_max(lambda v: objective(v, eta), sigma2, s2_lo, s2_hi)
-        eta = _golden_max(lambda v: objective(sigma2, v), eta, eta_lo, eta_hi)
+    total_obs = float((t_zero + t_one) @ nobs)
+    q_base = float(t_zero @ css + t_one @ rss)
+
+    def variances(r):
+        q = q_base - r * float(t_one @ np.sum(w2 / (1.0 + r * d), axis=1))
+        sigma2 = min(max(q / total_obs, s2_lo), s2_hi)
+        return sigma2, max(r * sigma2, ETA_FLOOR)
+
+    ratio, value = _golden_max(
+        lambda r: objective(*variances(r)),
+        current.eta / current.sigma2,
+        ETA_FLOOR / s2_hi,
+        1e14 * scale / s2_lo,
+    )
+    # the eta floor and the sigma2 box can cut the profile below the
+    # current point; keeping the current variances then stays monotone
+    if value < objective(current.sigma2, current.eta):
+        sigma2, eta = current.sigma2, current.eta
+    else:
+        sigma2, eta = variances(ratio)
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
 
 
-def _null_params(stats, options):
+def _null_params(stats):
     sigma2 = max(stats.css.sum() / stats.nobs.sum(), np.finfo(np.float64).tiny)
     return PriorParams(
-        tau1=options.tau_clamp,
+        tau1=TAU_CLAMP,
         beta=np.zeros(stats.p),
-        eta=options.eta_floor,
+        eta=ETA_FLOOR,
         sigma2=float(sigma2),
     )
 
 
-def _init_from_stats(stats, options):
+def _init_from_stats(stats):
     beta0 = stats.betahat.mean(axis=0)
     dof = float(np.sum(stats.nobs - stats.p))
     floor = 1e-12 * float(stats.css.sum()) / (stats.m * float(stats.nobs.max()))
@@ -412,7 +425,7 @@ def _init_from_stats(stats, options):
         lt_dev = np.einsum("tij,tj->ti", stats.u_stat, dev)
         # u_stat rows are V'L', so |u_stat dev|^2 = dev' L L' dev as well
     spread = float(np.mean(np.sum(lt_dev**2, axis=1))) / stats.p
-    eta0 = max(spread - sigma2, 10.0 * options.eta_floor)
+    eta0 = max(spread - sigma2, 10.0 * ETA_FLOOR)
     return PriorParams(tau1=0.5, beta=beta0, eta=eta0, sigma2=sigma2)
 
 
@@ -428,35 +441,35 @@ def e_step(design, panel, params):
     return resp, loglik
 
 
-def m_step_complete(design, panel, resp, options=None):
+def m_step_complete(design, panel, resp):
     """Closed-form parameter update for a fully observed panel.
 
     Raises DegenerateResponsibilities when the signal component has no
     mass; :func:`fit` catches that and returns the null model.
     """
-    options = options or FitOptions()
     if not panel.complete:
         raise BadShape("m_step_complete requires a fully observed panel")
     stats = _SuffStats(design, panel)
-    return _m_step_complete_core(stats, _check_resp(resp, panel.m), options)
+    return _m_step_complete_core(stats, _check_resp(resp, panel.m))
 
 
-def m_step_masked(design, panel, resp, current, options=None):
+def m_step_masked(design, panel, resp, current):
     """Generalized M-step tolerating missing rows.
 
     tau1 and beta update in closed form (beta by responsibility-weighted
-    GLS at the current variance parameters); (sigma2, eta) by three sweeps
-    of bracketed golden-section ascent.  The EM objective never decreases.
-    With zero signal mass beta is kept and tau1 falls to its clamp floor.
+    GLS at the current variance parameters).  (sigma2, eta) come from one
+    bracketed golden-section search over r = eta/sigma2, with sigma2 the
+    closed-form maximizer at each r; when that lands below the current
+    variances they are kept.  The EM objective never decreases.  With zero
+    signal mass beta is kept and tau1 falls to its clamp floor.
     """
-    options = options or FitOptions()
     stats = _SuffStats(design, panel)
-    return _m_step_masked_core(stats, _check_resp(resp, panel.m), current, options)
+    return _m_step_masked_core(stats, _check_resp(resp, panel.m), current)
 
 
 def init_params(design, panel):
     """Moment-style starting point from per-tissue least squares."""
-    return _init_from_stats(_SuffStats(design, panel), FitOptions())
+    return _init_from_stats(_SuffStats(design, panel))
 
 
 def fit(design, panel, options=None):
@@ -482,18 +495,18 @@ def fit(design, panel, options=None):
     """
     options = options or FitOptions()
     stats = _SuffStats(design, panel)
-    params = _init_from_stats(stats, options)
+    params = _init_from_stats(stats)
     resp, loglik, lg0, lg1 = _estep_core(stats, params)
     trace = [loglik]
     converged = False
     while not converged and len(trace) < options.max_iter:
         try:
             if stats.complete:
-                params = _m_step_complete_core(stats, resp, options)
+                params = _m_step_complete_core(stats, resp)
             else:
-                params = _m_step_masked_core(stats, resp, params, options)
+                params = _m_step_masked_core(stats, resp, params)
         except DegenerateResponsibilities:
-            params = _null_params(stats, options)
+            params = _null_params(stats)
             converged = True
         resp, loglik, lg0, lg1 = _estep_core(stats, params)
         trace.append(loglik)

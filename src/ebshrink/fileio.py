@@ -208,20 +208,20 @@ def read_fit_json(path):
     Raises
     ------
     ParseError
-        Malformed JSON, missing or mistyped fields, an h outside [0, 1] or
-        a post_mean whose length differs from beta's.
+        Malformed JSON, missing or mistyped fields, an h outside [0, 1], a
+        post_mean whose length differs from beta's, or an iteration count
+        that differs from the length of the log-likelihood trace.
     NonFinite
-        Non-finite parameters or posterior summaries.
+        Non-finite parameters, posterior summaries or log-likelihoods.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        params = PriorParams(
-            tau1=float(doc["params"]["tau1"]),
-            beta=np.asarray(doc["params"]["beta"], dtype=np.float64),
-            eta=float(doc["params"]["eta"]),
-            sigma2=float(doc["params"]["sigma2"]),
-        )
+        beta = np.asarray(doc["params"]["beta"], dtype=np.float64)
+        tau1, eta, sigma2 = (float(doc["params"][k]) for k in ("tau1", "eta", "sigma2"))
+        if not np.all(np.isfinite(np.append(beta, (tau1, eta, sigma2)))):
+            raise NonFinite(f"{path}: non-finite parameters")
+        params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
         names = []
         posteriors = []
         for entry in doc["posteriors"]:
@@ -250,15 +250,21 @@ def read_fit_json(path):
                     log_odds=log_odds,
                 )
             )
+        trace = np.asarray(doc["loglik_trace"], dtype=np.float64)
+        if not np.all(np.isfinite(trace)):
+            raise NonFinite(f"{path}: non-finite log-likelihood trace")
+        iterations = int(doc["iterations"])
+        if trace.shape != (iterations,):
+            raise ParseError(
+                f"{path}: iterations = {iterations} but loglik_trace has shape {trace.shape}"
+            )
         result = FitResult(
             params=params,
             posteriors=posteriors,
-            loglik_trace=np.asarray(doc["loglik_trace"], dtype=np.float64),
-            iterations=int(doc["iterations"]),
+            loglik_trace=trace,
+            iterations=iterations,
             converged=bool(doc["converged"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit report ({exc})") from exc
-    if not np.all(np.isfinite(result.params.beta)):
-        raise NonFinite(f"{path}: non-finite parameters")
     return result, names

@@ -152,19 +152,27 @@ class TestMStepComplete:
 
 class TestMStepMasked:
     def test_full_mask_matches_complete(self):
-        rng = np.random.default_rng(78)
-        x = rng.standard_normal((10, 2))
-        y = rng.standard_normal((10, 4))
-        d = build_design(x)
-        panel_c = ResponsePanel(y)
-        panel_m = ResponsePanel(y, mask=np.ones((10, 4), dtype=bool))
-        resp_t1 = rng.uniform(0.3, 0.9, size=4)
-        resp = np.column_stack([1.0 - resp_t1, resp_t1])
-        current = random_params(rng, 2)
-        new_c = m_step_complete(d, panel_c, resp)
-        new_m = m_step_masked(d, panel_m, resp, current)
-        assert new_m.tau1 == pytest.approx(new_c.tau1, rel=1e-12)
-        assert_allclose(new_m.beta, new_c.beta, rtol=1e-8)
+        # on a complete panel the masked step is the exact joint maximizer,
+        # variances included
+        for seed in range(78, 88):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((12, 2))
+            y = rng.standard_normal((12, 6))
+            d = build_design(x)
+            panel_c = ResponsePanel(y)
+            panel_m = ResponsePanel(y, mask=np.ones((12, 6), dtype=bool))
+            resp_t1 = rng.uniform(0.3, 0.9, size=6)
+            resp = np.column_stack([1.0 - resp_t1, resp_t1])
+            current = random_params(rng, 2)
+            new_c = m_step_complete(d, panel_c, resp)
+            new_m = m_step_masked(d, panel_m, resp, current)
+            assert new_m.tau1 == pytest.approx(new_c.tau1, rel=1e-12)
+            assert_allclose(new_m.beta, new_c.beta, rtol=1e-8)
+            assert_allclose(new_m.sigma2, new_c.sigma2, rtol=1e-6)
+            # an eta far below sigma2 moves the objective only at roundoff
+            # level (seed 85: eta/sigma2 = 0.0044), so it is resolved on the
+            # scale of sigma2
+            assert_allclose(new_m.eta, new_c.eta, rtol=1e-6, atol=1e-6 * new_c.sigma2)
 
     def test_zero_active_mass_keeps_beta(self):
         rng = np.random.default_rng(79)

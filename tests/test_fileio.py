@@ -166,8 +166,15 @@ class TestFitJson:
             (lambda text: text.replace('"post_mean": [', '"post_mean": [1.5, ', 1), ParseError),
             (lambda text: re.sub(r'"h": [^,]*', '"h": 7', text, count=1), ParseError),
             (lambda text: text[: len(text) // 2], ParseError),
+            (lambda text: re.sub(r'"loglik_trace": \[[^,\]]*', '"loglik_trace": [NaN', text),
+             NonFinite),
+            (lambda text: re.sub(
+                r'"iterations": (\d+)', lambda mt: f'"iterations": {int(mt[1]) + 1}', text),
+             ParseError),
+            (lambda text: re.sub(r'"beta": \[[^,\]]*', '"beta": [NaN', text), NonFinite),
         ],
-        ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated"],
+        ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
+             "nan_trace", "iterations_mismatch", "nan_beta"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()
@@ -176,5 +183,5 @@ class TestFitJson:
         text = p.read_text(encoding="utf-8")
         bad = edit(text)
         assert bad != text
-        with pytest.raises(error):
+        with pytest.raises(error, match="bad.json"):
             read_fit_json(write_text(tmp_path / "bad.json", bad))
