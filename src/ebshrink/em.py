@@ -7,9 +7,9 @@ form.  With missing rows tau1 and beta stay closed form (beta as a
 responsibility-weighted GLS at the current variance parameters).  Because
 the slab covariance is eta (X'X)^-1, fixing the ratio r = eta/sigma2 leaves
 an objective maximized by sigma2 in closed form, so (sigma2, eta) are
-updated by one bracketed golden-section search over r.  Each update is a
-conditional maximization that never decreases the EM objective, so the
-observed-data log-likelihood is still monotone.
+updated by root-finding the closed-form slope of that profile in log r.
+Each update is a conditional maximization that never decreases the EM
+objective, so the observed-data log-likelihood is still monotone.
 
 Everything the inner loop needs is reduced once per fit to per-tissue
 statistics in the eigenbasis of the whitened sub-Gram matrices
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from . import kernels
@@ -211,7 +212,7 @@ class _SuffStats:
         return w * w, rss
 
     def data_scale(self):
-        """Average observed second moment; sets golden-section brackets."""
+        """Average observed second moment; scales the masked M-step's bounds."""
         return max(float(self.css.sum() / self.nobs.sum()), np.finfo(np.float64).tiny)
 
 
@@ -234,11 +235,12 @@ def _summarize(stats, params, resp, lg0, lg1):
     h is the E-step responsibility itself.  Given association, the
     whitened coefficients L'b_t have prior N(L'beta, eta I) and precision
     I/eta + S_t/sigma2 = V (1/eta + d/sigma2) V', so in the eigenbasis the
-    conditional mean is (sigma2 V'L'beta + eta pb) / (sigma2 + eta d).
+    conditional mean is (V'L'beta + r pb) / (1 + r d) with r = eta/sigma2.
     Since u_stat' = L V, mapping back is b = (X'X)^-1 u_stat' c.
     """
     z = stats.u_stat @ params.beta
-    c = (params.sigma2 * z + params.eta * stats.pb) / (params.sigma2 + params.eta * stats.d)
+    ratio = params.eta / params.sigma2
+    c = (z + ratio * stats.pb) / (1.0 + ratio * stats.d)
     g = np.einsum("tji,tj->ti", stats.u_stat, c)
     cond = cho_solve((stats.gram_factor, True), g.T).T
     log_bf = lg0 - lg1
@@ -292,59 +294,6 @@ def _m_step_complete_core(stats, resp):
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
 
 
-def _golden_max(fun, start, lo, hi, rel_tol=1e-6, max_expand=80):
-    """Maximize a unimodal fun over [lo, hi] by golden section in log space.
-
-    Every probe is kept as a candidate, so the returned point is never
-    worse than ``start``.  Returns the best point and its value.
-    """
-    if not lo > 0.0:
-        raise ValueError("golden-section bounds must be positive")
-    start = min(max(start, lo), hi)
-    best = [start, fun(start)]
-    if hi <= lo * (1.0 + 1e-12):
-        return tuple(best)
-
-    def probe(u):
-        x = math.exp(u)
-        val = fun(x)
-        if val > best[1]:
-            best[0], best[1] = x, val
-        return val
-
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    step = math.log(8.0)
-    ua = max(log_lo, math.log(start) - step)
-    ub = min(log_hi, math.log(start) + step)
-    probe(ua)
-    probe(ub)
-    for _ in range(max_expand):
-        u_best = math.log(best[0])
-        if u_best <= ua + 1e-9 and ua > log_lo + 1e-9:
-            ua = max(log_lo, ua - step)
-            probe(ua)
-        elif u_best >= ub - 1e-9 and ub < log_hi - 1e-9:
-            ub = min(log_hi, ub + step)
-            probe(ub)
-        else:
-            break
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    u1 = ub - invphi * (ub - ua)
-    u2 = ua + invphi * (ub - ua)
-    f1 = probe(u1)
-    f2 = probe(u2)
-    while ub - ua > rel_tol:
-        if f1 >= f2:
-            ub, u2, f2 = u2, u1, f1
-            u1 = ub - invphi * (ub - ua)
-            f1 = probe(u1)
-        else:
-            ua, u1, f1 = u1, u2, f2
-            u2 = ua + invphi * (ub - ua)
-            f2 = probe(u2)
-    return tuple(best)
-
-
 def _m_step_masked_core(stats, resp, current):
     t_zero = np.ascontiguousarray(resp[:, 0])
     t_one = np.ascontiguousarray(resp[:, 1])
@@ -356,8 +305,8 @@ def _m_step_masked_core(stats, resp, current):
     else:
         # GLS at the current variance parameters: each tissue contributes
         # X_t' Sigma_t^-1 X_t and X_t' Sigma_t^-1 y_t, both diagonal in the
-        # whitened eigenbasis
-        shifted = current.sigma2 + current.eta * stats.d
+        # whitened eigenbasis; the common factor 1/sigma2 cancels
+        shifted = 1.0 + (current.eta / current.sigma2) * stats.d
         wgt = t_one[:, None] * stats.d / shifted
         mat = np.einsum("tji,tj,tjk->ik", stats.u_stat, wgt, stats.u_stat)
         mat = 0.5 * (mat + mat.T)
@@ -377,29 +326,39 @@ def _m_step_masked_core(stats, resp, current):
 
     # With eta = r * sigma2 every component density has the form
     # -0.5 * (nobs log sigma2 + Q_t(r) / sigma2 + const(r)), so for fixed r
-    # the objective peaks at sigma2 = Q(r) / A and only r is searched.
+    # the objective peaks at sigma2 = Q(r) / A, and the profile's slope in r
+    # has the sign of score(log r).
     scale = stats.data_scale()
-    s2_lo, s2_hi = 1e-12 * scale, 1e12 * scale
+    s2_floor = max(1e-12 * scale, np.finfo(np.float64).tiny)
     total_obs = float((t_zero + t_one) @ nobs)
     q_base = float(t_zero @ css + t_one @ rss)
 
-    def variances(r):
-        q = q_base - r * float(t_one @ np.sum(w2 / (1.0 + r * d), axis=1))
-        sigma2 = min(max(q / total_obs, s2_lo), s2_hi)
-        return sigma2, max(r * sigma2, ETA_FLOOR)
+    def profile(u):
+        r = math.exp(u)
+        shrink = 1.0 / (1.0 + r * d)
+        q = q_base - r * float(t_one @ np.sum(w2 * shrink, axis=1))
+        return r, shrink, max(q / total_obs, s2_floor)
 
-    ratio, value = _golden_max(
-        lambda r: objective(*variances(r)),
-        current.eta / current.sigma2,
-        ETA_FLOOR / s2_hi,
-        1e14 * scale / s2_lo,
-    )
-    # the eta floor and the sigma2 box can cut the profile below the
-    # current point; keeping the current variances then stays monotone
-    if value < objective(current.sigma2, current.eta):
-        sigma2, eta = current.sigma2, current.eta
+    def score(u):
+        _, shrink, sigma2 = profile(u)
+        return float(t_one @ np.sum(w2 * shrink**2 / sigma2 - d * shrink, axis=1))
+
+    # the r bracket [ETA_FLOOR / (1e12 scale), 1e26], in log space so that
+    # neither end overflows or underflows at extreme response scales
+    u_hi = math.log(1e26)
+    u_lo = min(math.log(ETA_FLOOR / 1e12) - math.log(scale), u_hi)
+    if score(u_lo) <= 0.0:
+        u = u_lo
+    elif score(u_hi) >= 0.0:
+        u = u_hi
     else:
-        sigma2, eta = variances(ratio)
+        u = brentq(score, u_lo, u_hi)
+    ratio, _, sigma2 = profile(u)
+    eta = max(ratio * sigma2, ETA_FLOOR)
+    # the eta floor and the sigma2 floor can cut the profile below the
+    # current point; keeping the current variances then stays monotone
+    if objective(sigma2, eta) < objective(current.sigma2, current.eta):
+        sigma2, eta = current.sigma2, current.eta
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
 
 
@@ -457,10 +416,11 @@ def m_step_masked(design, panel, resp, current):
     """Generalized M-step tolerating missing rows.
 
     tau1 and beta update in closed form (beta by responsibility-weighted
-    GLS at the current variance parameters).  (sigma2, eta) come from one
-    bracketed golden-section search over r = eta/sigma2, with sigma2 the
-    closed-form maximizer at each r; when that lands below the current
-    variances they are kept.  The EM objective never decreases.  With zero
+    GLS at the current variance parameters).  With sigma2 the closed-form
+    maximizer at each r = eta/sigma2, r is the root of the profile's
+    closed-form slope in log r, or an end of its bracket when the slope
+    keeps one sign there; when that lands below the current variances they
+    are kept.  The EM objective never decreases.  With zero
     signal mass beta is kept and tau1 falls to its clamp floor.
     """
     stats = _SuffStats(design, panel)

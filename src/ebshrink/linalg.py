@@ -35,7 +35,13 @@ class Design:
 
 
 def _checked_cholesky(a, what):
-    """Lower Cholesky factor of ``a``, raising RankDeficient when unstable."""
+    """Lower Cholesky factor of ``a``, raising RankDeficient when unstable.
+
+    A non-finite ``a`` raises NonFinite: np.linalg.cholesky returns NaN for
+    it without raising, and NaN pivots pass every comparison.
+    """
+    if not np.all(np.isfinite(a)):
+        raise NonFinite(f"{what} contains NaN or infinite entries")
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

@@ -209,13 +209,14 @@ def _draw_coefs(rng, config, active):
     return true_beta
 
 
-def _draw_mask(rng, config):
-    mask = np.ones((config.n, config.m), dtype=bool)
-    k = int(round(config.missing_frac * config.n))
+def _draw_mask(rng, n, m, missing_frac):
+    """Observation mask hiding round(missing_frac * n) random rows per tissue."""
+    mask = np.ones((n, m), dtype=bool)
+    k = int(round(missing_frac * n))
     if k == 0:
         return mask
-    for t in range(config.m):
-        mask[rng.permutation(config.n)[:k], t] = False
+    for t in range(m):
+        mask[rng.permutation(n)[:k], t] = False
     return mask
 
 
@@ -233,7 +234,7 @@ def simulate_setting(config):
     true_beta = _draw_coefs(rng, config, active)
     noise = rng.standard_normal((config.n, config.m)) * np.sqrt(config.sigma2)
     y = x @ true_beta + noise
-    mask = _draw_mask(rng, config)
+    mask = _draw_mask(rng, config.n, config.m, config.missing_frac)
     y = np.where(mask, y, np.nan)
     names = tuple(f"t{j + 1}" for j in range(config.m))
     panel = ResponsePanel(y=y, mask=mask, tissue_names=names)
@@ -437,13 +438,8 @@ def simulate_model_panel(design, params, m, rng, missing_frac=0.0):
                 design.gram_factor.T, z, lower=False
             )
     y = design.x @ true_beta + rng.standard_normal((n, m)) * np.sqrt(params.sigma2)
-    mask = np.ones((n, m), dtype=bool)
-    k = int(round(missing_frac * n))
-    if k > 0:
-        for t in range(m):
-            mask[rng.permutation(n)[:k], t] = False
-        y = np.where(mask, y, np.nan)
-    panel = ResponsePanel(y=y, mask=mask)
+    mask = _draw_mask(rng, n, m, missing_frac)
+    panel = ResponsePanel(y=np.where(mask, y, np.nan), mask=mask)
     return panel, true_beta, active
 
 

@@ -17,7 +17,8 @@ from ebshrink.em import (
 )
 from ebshrink.errors import BadShape, DegenerateResponsibilities
 from ebshrink.linalg import build_design, ols
-from ebshrink.posterior import PriorParams
+from ebshrink.posterior import ETA_FLOOR, TAU_CLAMP, PriorParams
+from ebshrink.simulate import SimConfig, simulate_setting
 
 from oracles import dense_loglik, dense_responsibility, numeric_q_max_complete
 
@@ -154,7 +155,7 @@ class TestMStepMasked:
     def test_full_mask_matches_complete(self):
         # on a complete panel the masked step is the exact joint maximizer,
         # variances included
-        for seed in range(78, 88):
+        for seed in range(200):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((12, 2))
             y = rng.standard_normal((12, 6))
@@ -168,11 +169,8 @@ class TestMStepMasked:
             new_m = m_step_masked(d, panel_m, resp, current)
             assert new_m.tau1 == pytest.approx(new_c.tau1, rel=1e-12)
             assert_allclose(new_m.beta, new_c.beta, rtol=1e-8)
-            assert_allclose(new_m.sigma2, new_c.sigma2, rtol=1e-6)
-            # an eta far below sigma2 moves the objective only at roundoff
-            # level (seed 85: eta/sigma2 = 0.0044), so it is resolved on the
-            # scale of sigma2
-            assert_allclose(new_m.eta, new_c.eta, rtol=1e-6, atol=1e-6 * new_c.sigma2)
+            assert_allclose(new_m.sigma2, new_c.sigma2, rtol=1e-10)
+            assert_allclose(new_m.eta, new_c.eta, rtol=1e-10)
 
     def test_zero_active_mass_keeps_beta(self):
         rng = np.random.default_rng(79)
@@ -322,6 +320,37 @@ class TestFit:
             assert res_b.posteriors[k].h == pytest.approx(
                 res_a.posteriors[t].h, rel=1e-12, abs=1e-15
             )
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_response_scaling_equivariance(self, setting):
+        # y -> c y gives sigma2, eta -> c^2 times and beta -> c times, with h
+        # unchanged, on the complete (1) and masked (3) paths alike
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        d = build_design(data.x)
+        options = FitOptions(tol=1e-300, max_iter=30)
+        base = fit(d, data.panel, options)
+        for c in (1e6, 1e100, 1e150):
+            scaled = fit(d, ResponsePanel(data.panel.y * c, mask=data.panel.mask), options)
+            assert scaled.iterations == base.iterations
+            assert_allclose(scaled.params.sigma2 / c**2, base.params.sigma2, rtol=1e-9)
+            assert_allclose(scaled.params.eta / c**2, base.params.eta, rtol=1e-9)
+            assert_allclose(scaled.params.beta / c, base.params.beta, rtol=1e-9)
+            assert_allclose(
+                [q.h for q in scaled.posteriors], [q.h for q in base.posteriors], rtol=1e-9
+            )
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_all_zero_panel_gives_null_fit(self, missing):
+        rng = np.random.default_rng(90)
+        d, panel = random_problem(rng, n=12, p=2, m=4, missing=missing)
+        res = fit(d, ResponsePanel(np.where(panel.mask, 0.0, np.nan), mask=panel.mask))
+        assert res.converged
+        assert np.all(np.isfinite(res.loglik_trace))
+        assert res.params.tau1 == TAU_CLAMP
+        assert res.params.eta == ETA_FLOOR
+        assert res.params.sigma2 == np.finfo(np.float64).tiny
+        assert_allclose(res.params.beta, 0.0, atol=0.0)
+        assert all(q.h < 1e-12 for q in res.posteriors)
 
     def test_null_data_converges(self):
         rng = np.random.default_rng(89)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ebshrink.errors import BadShape, NonFinite, RankDeficient
-from ebshrink.linalg import build_design, ols
+from ebshrink.linalg import _checked_cholesky, build_design, ols
 
 
 def random_design(rng, n, p):
@@ -86,3 +86,12 @@ class TestOls:
         # keep two rows: 2 < p, observed Gram singular
         with pytest.raises(RankDeficient):
             ols(d, y, mask=[True, True, False, False, False])
+
+
+class TestCheckedCholesky:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # np.linalg.cholesky returns NaN here without raising
+        a = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(NonFinite, match="probe"):
+            _checked_cholesky(a, "probe")
