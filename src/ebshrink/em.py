@@ -14,7 +14,9 @@ objective, so the observed-data log-likelihood is still monotone.
 Everything the inner loop needs is reduced once per fit to per-tissue
 statistics in the eigenbasis of the whitened sub-Gram matrices
 L^-1 X_t'X_t L^-T (L the Cholesky factor of X'X), after which one
-objective evaluation costs O(m p) regardless of n.
+objective evaluation costs O(m p) regardless of n.  The reduction is one
+batched pass over all tissues, and the rank checks work in whitened
+coordinates, so they do not depend on the scale of X's columns.
 """
 
 import math
@@ -26,12 +28,16 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from . import kernels
-from .errors import BadShape, DegenerateResponsibilities, NonFinite
-from .linalg import _apply_mask, _checked_cholesky
+from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
+from .linalg import PIVOT_RTOL, _apply_mask, _checked_cholesky
 from .posterior import ETA_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior, clamp_tau
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
+
+# bytes of row outer products held at once while the masked Gram matrices
+# accumulate, so the temporary stays bounded whatever n and p
+GRAM_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -136,15 +142,19 @@ class FitResult:
 class _SuffStats:
     """Per-tissue second-order statistics in the whitened eigenbasis.
 
-    For tissue t with observed rows X_t, y_t:
+    With L the Cholesky factor of X'X (kept as gram_factor) and w_i = L^-1 x_i
+    the whitened rows, tissue t with observed rows X_t, y_t has
 
-        S_t = L^-1 X_t'X_t L^-T = V diag(d) V'
-        u_stat[t] = V' L'            (p x p, maps beta to the eigenbasis)
-        pb[t]     = V' L^-1 X_t'y_t
-        css[t]    = |y_t|^2,  nobs[t] = row count
+        S_t = L^-1 X_t'X_t L^-T = sum of its rows' w_i w_i' = V diag(d) V'
+        vecs[t] = V'   (rows are eigenvectors; a mean beta maps to V'L'beta)
+        pb[t]   = V' L^-1 X_t'y_t
+        css[t]  = |y_t|^2,  nobs[t] = row count
 
-    Complete data collapses to d = 1, u_stat = L', pb = L^-1 X'y.
-    gram_factor keeps L, which maps eigenbasis vectors back to coefficients.
+    d_j = v_j'X_t'X_t v_j / v_j'X'X v_j lies in [0, 1] and does not change
+    when X's columns are rescaled.  One GEMM of the mask against the rows'
+    outer products (in row blocks of bounded size) and one batched eigh
+    reduce all tissues at once.  A complete panel has d = 1 and one shared
+    basis, vecs = I of shape (1, p, p), broadcast over the tissues.
     """
 
     def __init__(self, design, panel):
@@ -164,47 +174,41 @@ class _SuffStats:
         self.gram_factor = low
         self.complete = panel.complete
         self.nobs = counts.astype(np.float64)
+        y_obs = np.where(panel.mask, panel.y, 0.0)
+        self.css = np.einsum("ij,ij->j", y_obs, y_obs)
+        xty = solve_triangular(low, x.T @ y_obs, lower=True).T   # rows L^-1 X_t'y_t
         if self.complete:
-            bt = x.T @ panel.y                                # (p, m)
-            pb_cols = solve_triangular(low, bt, lower=True)   # (p, m)
             self.d = np.ones((m, p))
-            self.u_stat = np.broadcast_to(low.T, (m, p, p))
-            self.pb = np.ascontiguousarray(pb_cols.T)
-            self.css = np.einsum("ij,ij->j", panel.y, panel.y)
-            self.betahat = solve_triangular(low.T, pb_cols, lower=False).T
-            self.rss_ols = np.maximum(self.css - np.sum(self.pb**2, axis=1), 0.0)
+            self.vecs = np.eye(p)[None]
         else:
-            self.d = np.empty((m, p))
-            self.u_stat = np.empty((m, p, p))
-            self.pb = np.empty((m, p))
-            self.css = np.empty(m)
-            self.betahat = np.empty((m, p))
-            self.rss_ols = np.empty(m)
-            for t in range(m):
-                idx = panel.mask[:, t]
-                xm = x[idx]
-                ym = panel.y[idx, t]
-                sub_gram = xm.T @ xm
-                sub_gram = 0.5 * (sub_gram + sub_gram.T)
-                bt = xm.T @ ym
-                sub_factor = _checked_cholesky(
-                    sub_gram, f"observed-row X'X for tissue {panel.tissue_names[t]}"
+            white = solve_triangular(low, x.T, lower=True).T     # rows w_i
+            rows = max(1, GRAM_BLOCK_BYTES // (8 * p * p))
+            grams = np.zeros((m, p * p))
+            for lo in range(0, n, rows):
+                blk = white[lo:lo + rows]
+                outer = (blk[:, :, None] * blk[:, None, :]).reshape(len(blk), p * p)
+                grams += panel.mask[lo:lo + rows].T.astype(np.float64) @ outer
+            self.d, vecs = np.linalg.eigh(grams.reshape(m, p, p))
+            weak = self.d[:, 0] < PIVOT_RTOL
+            if np.any(weak):
+                t = int(np.argmax(weak))
+                raise RankDeficient(
+                    f"observed-row X'X for tissue {panel.tissue_names[t]} is numerically rank "
+                    f"deficient: {self.d[t, 0]:.3g} of X'X along its weakest direction"
                 )
-                bhat = cho_solve((sub_factor, True), bt)
-                half = solve_triangular(low, sub_gram, lower=True)
-                s_mat = solve_triangular(low, half.T, lower=True)
-                s_mat = 0.5 * (s_mat + s_mat.T)
-                dvals, vecs = np.linalg.eigh(s_mat)
-                self.d[t] = np.maximum(dvals, 0.0)
-                self.u_stat[t] = (low @ vecs).T
-                self.pb[t] = vecs.T @ solve_triangular(low, bt, lower=True)
-                self.css[t] = float(ym @ ym)
-                self.betahat[t] = bhat
-                self.rss_ols[t] = max(self.css[t] - float(bt @ bhat), 0.0)
+            self.vecs = np.ascontiguousarray(vecs.transpose(0, 2, 1))
+        self.pb = (self.vecs @ xty[:, :, None])[:, :, 0]
+        self.betahat = self.to_coefficients(self.pb / self.d)
+        self.rss_ols = np.maximum(self.css - np.sum(self.pb**2 / self.d, axis=1), 0.0)
+
+    def to_coefficients(self, c):
+        """L^-T V_t c_t for every row c_t of the (m, p) eigenbasis array c."""
+        back = (c[:, None, :] @ self.vecs)[:, 0, :]
+        return solve_triangular(self.gram_factor.T, back.T, lower=False).T
 
     def residual_stats(self, beta):
         """(w2, rss) at a shared mean beta; see kernel docs for meaning."""
-        z = self.u_stat @ beta                                # (m, p)
+        z = self.vecs @ (self.gram_factor.T @ beta)          # (m, p), or (1, p)
         zp = np.einsum("tj,tj->t", z, self.pb)
         zdz = np.einsum("tj,tj,tj->t", z, self.d, z)
         rss = np.maximum(self.css - 2.0 * zp + zdz, 0.0)
@@ -235,14 +239,13 @@ def _summarize(stats, params, resp, lg0, lg1):
     h is the E-step responsibility itself.  Given association, the
     whitened coefficients L'b_t have prior N(L'beta, eta I) and precision
     I/eta + S_t/sigma2 = V (1/eta + d/sigma2) V', so in the eigenbasis the
-    conditional mean is (V'L'beta + r pb) / (1 + r d) with r = eta/sigma2.
-    Since u_stat' = L V, mapping back is b = (X'X)^-1 u_stat' c.
+    conditional mean is c = (V'L'beta + r pb) / (1 + r d) with
+    r = eta/sigma2, and mapping back is b = L^-T V c.
     """
-    z = stats.u_stat @ params.beta
+    z = stats.vecs @ (stats.gram_factor.T @ params.beta)
     ratio = params.eta / params.sigma2
     c = (z + ratio * stats.pb) / (1.0 + ratio * stats.d)
-    g = np.einsum("tji,tj->ti", stats.u_stat, c)
-    cond = cho_solve((stats.gram_factor, True), g.T).T
+    cond = stats.to_coefficients(c)
     log_bf = lg0 - lg1
     log_odds = log_bf + (math.log(params.tau0) - math.log(params.tau1))
     h = resp[:, 1]
@@ -282,7 +285,7 @@ def _m_step_complete_core(stats, resp):
     css_total = float(stats.css.sum())
     sigma2 = (css_total - float(t_one @ yhy)) / (m * n - p * mass)
     # L' beta maps the new mean into the same basis as pb
-    lt_beta = stats.u_stat[0] @ beta
+    lt_beta = stats.gram_factor.T @ beta
     col_rss = np.sum((stats.pb - lt_beta) ** 2, axis=1)
     eta = float(t_one @ col_rss) / (p * mass) - sigma2
     if eta < ETA_FLOOR:
@@ -303,18 +306,18 @@ def _m_step_masked_core(stats, resp, current):
     if mass < DEGENERATE_MASS:
         beta = current.beta
     else:
-        # GLS at the current variance parameters: each tissue contributes
-        # X_t' Sigma_t^-1 X_t and X_t' Sigma_t^-1 y_t, both diagonal in the
-        # whitened eigenbasis; the common factor 1/sigma2 cancels
+        # GLS at the current variance parameters, solved for L'beta: each
+        # tissue contributes V_t diag(wgt_t) V_t' and V_t rhs_t (the common
+        # factor 1/sigma2 cancels); tissues sharing one basis pool weights
         shifted = 1.0 + (current.eta / current.sigma2) * stats.d
-        wgt = t_one[:, None] * stats.d / shifted
-        mat = np.einsum("tji,tj,tjk->ik", stats.u_stat, wgt, stats.u_stat)
-        mat = 0.5 * (mat + mat.T)
-        vec = np.einsum(
-            "tji,tj->i", stats.u_stat, t_one[:, None] * stats.pb / shifted
-        )
-        factor = _checked_cholesky(mat, "GLS normal matrix")
-        beta = cho_solve((factor, True), vec)
+        pool = (len(stats.vecs), -1, stats.p)
+        wgt = (t_one[:, None] * stats.d / shifted).reshape(pool).sum(axis=1)
+        rhs = (t_one[:, None] * stats.pb / shifted).reshape(pool).sum(axis=1)
+        rows = stats.vecs.reshape(-1, stats.p)               # every v_tj'
+        mat = rows.T @ (wgt.reshape(-1, 1) * rows)
+        factor = _checked_cholesky(0.5 * (mat + mat.T), "GLS normal matrix")
+        lt_beta = cho_solve((factor, True), rows.T @ rhs.ravel())
+        beta = solve_triangular(stats.gram_factor.T, lt_beta, lower=False)
 
     w2, rss = stats.residual_stats(beta)
     d, css, nobs = stats.d, stats.css, stats.nobs
@@ -377,12 +380,7 @@ def _init_from_stats(stats):
     dof = float(np.sum(stats.nobs - stats.p))
     floor = 1e-12 * float(stats.css.sum()) / (stats.m * float(stats.nobs.max()))
     sigma2 = max(float(stats.rss_ols.sum()) / dof, floor, np.finfo(np.float64).tiny)
-    dev = stats.betahat - beta0
-    if stats.complete:
-        lt_dev = dev @ stats.u_stat[0].T        # rows L'(betahat - beta0)
-    else:
-        lt_dev = np.einsum("tij,tj->ti", stats.u_stat, dev)
-        # u_stat rows are V'L', so |u_stat dev|^2 = dev' L L' dev as well
+    lt_dev = (stats.betahat - beta0) @ stats.gram_factor    # rows L'(betahat - beta0)
     spread = float(np.mean(np.sum(lt_dev**2, axis=1))) / stats.p
     eta0 = max(spread - sigma2, 10.0 * ETA_FLOOR)
     return PriorParams(tau1=0.5, beta=beta0, eta=eta0, sigma2=sigma2)

@@ -6,8 +6,11 @@ it shares code with the package's low-rank evaluation paths, so agreement
 is evidence of correctness rather than of consistency.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -65,6 +68,57 @@ def dense_loglik(x, y_panel, mask_panel, params):
             logsumexp([np.log(1.0 - params.tau1) + lg0, np.log(params.tau1) + lg1])
         )
     return total
+
+
+def loop_suff_stats(x, y_panel, mask_panel):
+    """Per-tissue eigenbasis statistics built one tissue at a time.
+
+    The reference for the batched reduction: for each tissue its own
+    observed-row Gram matrix, Cholesky solve, whitening and eigh.  Returns
+    a namespace with d, u_stat (rows V'L'), pb, css, betahat, rss_ols and
+    residual_stats(beta) -> (w2, rss).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    low = np.linalg.cholesky(x.T @ x)
+    m, p = y_panel.shape[1], x.shape[1]
+    d = np.empty((m, p))
+    u_stat = np.empty((m, p, p))
+    pb = np.empty((m, p))
+    css = np.empty(m)
+    betahat = np.empty((m, p))
+    rss_ols = np.empty(m)
+    for t in range(m):
+        idx = np.asarray(mask_panel[:, t], dtype=bool)
+        xm = x[idx]
+        ym = y_panel[idx, t]
+        sub_gram = xm.T @ xm
+        sub_gram = 0.5 * (sub_gram + sub_gram.T)
+        bt = xm.T @ ym
+        sub_factor = np.linalg.cholesky(sub_gram)
+        bhat = cho_solve((sub_factor, True), bt)
+        half = solve_triangular(low, sub_gram, lower=True)
+        s_mat = solve_triangular(low, half.T, lower=True)
+        s_mat = 0.5 * (s_mat + s_mat.T)
+        dvals, vecs = np.linalg.eigh(s_mat)
+        d[t] = np.maximum(dvals, 0.0)
+        u_stat[t] = (low @ vecs).T
+        pb[t] = vecs.T @ solve_triangular(low, bt, lower=True)
+        css[t] = float(ym @ ym)
+        betahat[t] = bhat
+        rss_ols[t] = max(css[t] - float(bt @ bhat), 0.0)
+
+    def residual_stats(beta):
+        z = u_stat @ beta
+        zp = np.einsum("tj,tj->t", z, pb)
+        zdz = np.einsum("tj,tj,tj->t", z, d, z)
+        rss = np.maximum(css - 2.0 * zp + zdz, 0.0)
+        w = pb - d * z
+        return w * w, rss
+
+    return SimpleNamespace(
+        d=d, u_stat=u_stat, pb=pb, css=css, betahat=betahat, rss_ols=rss_ols,
+        residual_stats=residual_stats,
+    )
 
 
 def quad_posterior_mean_1d(x, y, params):

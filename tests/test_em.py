@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ebshrink import kernels
 from ebshrink.em import (
+    GRAM_BLOCK_BYTES,
     FitOptions,
     ResponsePanel,
     _estep_core,
@@ -14,13 +16,19 @@ from ebshrink.em import (
     init_params,
     m_step_complete,
     m_step_masked,
+    tissue_posterior,
 )
-from ebshrink.errors import BadShape, DegenerateResponsibilities
+from ebshrink.errors import BadShape, DegenerateResponsibilities, RankDeficient
 from ebshrink.linalg import build_design, ols
 from ebshrink.posterior import ETA_FLOOR, TAU_CLAMP, PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
 
-from oracles import dense_loglik, dense_responsibility, numeric_q_max_complete
+from oracles import (
+    dense_loglik,
+    dense_responsibility,
+    loop_suff_stats,
+    numeric_q_max_complete,
+)
 
 
 def random_problem(rng, n=10, p=2, m=4, missing=0):
@@ -68,6 +76,123 @@ class TestResponsePanel:
         d = build_design(x)
         with pytest.raises(BadShape):
             e_step(d, panel, random_params(np.random.default_rng(1), 3))
+
+
+ORACLE_CASES = ("random", "p_plus_1", "duplicated", "full_column", "row_blocks")
+
+
+def masked_case(case):
+    """(x, y, mask) for one of the batched-statistics oracle cases."""
+    rng = np.random.default_rng(ORACLE_CASES.index(case))
+    n, p, m = 30, 4, 6
+    if case == "row_blocks":
+        p = 40
+        n = 3 * (GRAM_BLOCK_BYTES // (8 * p * p)) + 7
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal((p, m)) + rng.standard_normal((n, m))
+    mask = rng.random((n, m)) > 0.3
+    if case == "p_plus_1":
+        mask[:, 2] = False
+        mask[rng.choice(n, p + 1, replace=False), 2] = True
+    elif case == "duplicated":
+        y[:, 4], mask[:, 4] = y[:, 1], mask[:, 1]
+    elif case == "full_column":
+        mask[:, 3] = True
+    return x, y, mask
+
+
+def collinear_panel(noise):
+    # tissue t2 observes 10 rows on which column 3 is column 0 + column 1
+    # up to ``noise``; t4..t6 are null
+    rng = np.random.default_rng(7)
+    n, p, m = 40, 4, 6
+    x = rng.standard_normal((n, p))
+    mask = rng.random((n, m)) > 0.2
+    mask[:, 1] = False
+    mask[:10, 1] = True
+    x[:10, 3] = x[:10, 0] + x[:10, 1] + noise * rng.standard_normal(10)
+    coefs = np.array([1.0, -0.5, 0.3, 0.8])[:, None] + 0.5 * rng.standard_normal((p, m))
+    coefs[:, 3:] = 0.0
+    y = x @ coefs + rng.standard_normal((n, m))
+    return x, ResponsePanel(np.where(mask, y, np.nan), mask=mask)
+
+
+class TestSuffStats:
+    """The batched reduction against the tissue-by-tissue loop."""
+
+    @staticmethod
+    def assert_matches_loop(design, panel, beta):
+        stats = _SuffStats(design, panel)
+        ref = loop_suff_stats(design.x, np.where(panel.mask, panel.y, 0.0), panel.mask)
+        for name in ("d", "rss_ols", "css"):
+            assert_allclose(getattr(stats, name), getattr(ref, name), rtol=1e-12)
+        # relative to each tissue's largest coefficient, so that an entry
+        # near zero is not held to a relative error it cannot have
+        scale = np.abs(ref.betahat).max(axis=1, keepdims=True)
+        assert_allclose(stats.betahat / scale, ref.betahat / scale, rtol=1e-12, atol=1e-12)
+        w2, rss = stats.residual_stats(beta)
+        w2_ref, rss_ref = ref.residual_stats(beta)
+        assert_allclose(rss, rss_ref, rtol=1e-12)
+        # within a repeated eigenvalue the basis is arbitrary, so w2 is
+        # compared through the d-weighted sums that the kernel takes of it
+        for r in (0.0, 1.0, 10.0):
+            assert_allclose(
+                np.sum(w2 / (1.0 + r * stats.d), axis=1),
+                np.sum(w2_ref / (1.0 + r * ref.d), axis=1),
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_matches_per_tissue_loop(self, case):
+        x, y, mask = masked_case(case)
+        beta = np.random.default_rng(1).standard_normal(x.shape[1])
+        self.assert_matches_loop(
+            build_design(x), ResponsePanel(np.where(mask, y, np.nan), mask=mask), beta
+        )
+
+    def test_one_tissue_through_tissue_posterior(self):
+        rng = np.random.default_rng(5)
+        x, y, mask = masked_case("random")
+        d = build_design(x)
+        params = random_params(rng, x.shape[1])
+        col = np.where(mask[:, 0], y[:, 0], np.nan)[:, None]
+        self.assert_matches_loop(d, ResponsePanel(col, mask=mask[:, :1]), params.beta)
+        got = tissue_posterior(d, y[:, 0], params, mask=mask[:, 0])
+        ref = loop_suff_stats(x, np.nan_to_num(col), mask[:, :1])
+        w2, rss = ref.residual_stats(params.beta)
+        lg0, lg1 = kernels.component_loglik(
+            ref.d, w2, rss, ref.css, mask[:, :1].sum(axis=0).astype(float),
+            params.sigma2, params.eta,
+        )
+        assert_allclose(got.log_bf, lg0[0] - lg1[0], rtol=1e-12)
+        ratio = params.eta / params.sigma2
+        c = (ref.u_stat[0] @ params.beta + ratio * ref.pb[0]) / (1.0 + ratio * ref.d[0])
+        cond = np.linalg.solve(x.T @ x, ref.u_stat[0].T @ c)
+        assert_allclose(got.cond_mean_active, cond, rtol=1e-12)
+
+    def test_rank_check_is_scale_free(self):
+        # t2's observed rows hold ~1e-7 of X'X along one direction; scaling
+        # X's columns leaves that share, and the fit, unchanged
+        x, panel = collinear_panel(1e-3)
+        d = build_design(x)
+        assert 1e-8 < _SuffStats(d, panel).d[1, 0] < 1e-6
+        options = FitOptions(tol=1e-300, max_iter=30)
+        base = fit(d, panel, options)
+        scale = np.array([100.0, 1.0, 1.0, 0.01])
+        scaled = fit(build_design(x * scale), panel, options)
+        # normwise: roundoff grows by about 1/d_min in every coefficient
+        bound = 1e-6 * np.abs(base.params.beta).max()
+        assert_allclose(scaled.params.beta * scale, base.params.beta, rtol=1e-6, atol=bound)
+        assert_allclose(
+            [q.h for q in scaled.posteriors], [q.h for q in base.posteriors], rtol=1e-6
+        )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_collinear_observed_rows_rejected(self, scale):
+        x, panel = collinear_panel(0.0)
+        x[:, 0] *= scale
+        with pytest.raises(RankDeficient, match="tissue t2"):
+            fit(build_design(x), panel)
 
 
 class TestEStep:
