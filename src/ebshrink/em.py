@@ -30,7 +30,7 @@ from scipy.special import expit
 from . import kernels
 from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
 from .linalg import PIVOT_RTOL, _apply_mask, _checked_cholesky
-from .posterior import ETA_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior, clamp_tau
+from .posterior import R_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior, clamp_tau
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
@@ -215,10 +215,6 @@ class _SuffStats:
         w = self.pb - self.d * z
         return w * w, rss
 
-    def data_scale(self):
-        """Average observed second moment; scales the masked M-step's bounds."""
-        return max(float(self.css.sum() / self.nobs.sum()), np.finfo(np.float64).tiny)
-
 
 def _estep_core(stats, params):
     w2, rss = stats.residual_stats(params.beta)
@@ -288,11 +284,11 @@ def _m_step_complete_core(stats, resp):
     lt_beta = stats.gram_factor.T @ beta
     col_rss = np.sum((stats.pb - lt_beta) ** 2, axis=1)
     eta = float(t_one @ col_rss) / (p * mass) - sigma2
-    if eta < ETA_FLOOR:
-        # boundary case: with eta pinned (effectively 0) the constrained
-        # maximizer of the objective pools all residual variation
-        eta = ETA_FLOOR
+    if eta < R_FLOOR * sigma2:
+        # boundary case: with r = eta/sigma2 pinned (effectively 0) the
+        # constrained maximizer of the objective pools all residual variation
         sigma2 = (css_total - float(t_one @ yhy) + float(t_one @ col_rss)) / (m * n)
+        eta = R_FLOOR * sigma2
     sigma2 = max(sigma2, np.finfo(np.float64).tiny)
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
 
@@ -331,8 +327,6 @@ def _m_step_masked_core(stats, resp, current):
     # -0.5 * (nobs log sigma2 + Q_t(r) / sigma2 + const(r)), so for fixed r
     # the objective peaks at sigma2 = Q(r) / A, and the profile's slope in r
     # has the sign of score(log r).
-    scale = stats.data_scale()
-    s2_floor = max(1e-12 * scale, np.finfo(np.float64).tiny)
     total_obs = float((t_zero + t_one) @ nobs)
     q_base = float(t_zero @ css + t_one @ rss)
 
@@ -340,16 +334,15 @@ def _m_step_masked_core(stats, resp, current):
         r = math.exp(u)
         shrink = 1.0 / (1.0 + r * d)
         q = q_base - r * float(t_one @ np.sum(w2 * shrink, axis=1))
-        return r, shrink, max(q / total_obs, s2_floor)
+        return r, shrink, max(q / total_obs, np.finfo(np.float64).tiny)
 
     def score(u):
         _, shrink, sigma2 = profile(u)
         return float(t_one @ np.sum(w2 * shrink**2 / sigma2 - d * shrink, axis=1))
 
-    # the r bracket [ETA_FLOOR / (1e12 scale), 1e26], in log space so that
-    # neither end overflows or underflows at extreme response scales
-    u_hi = math.log(1e26)
-    u_lo = min(math.log(ETA_FLOOR / 1e12) - math.log(scale), u_hi)
+    # the r bracket [R_FLOOR, 1e26] holds ratios, so it is the same at every
+    # response scale; log space keeps the root search well conditioned
+    u_lo, u_hi = math.log(R_FLOOR), math.log(1e26)
     if score(u_lo) <= 0.0:
         u = u_lo
     elif score(u_hi) >= 0.0:
@@ -357,9 +350,10 @@ def _m_step_masked_core(stats, resp, current):
     else:
         u = brentq(score, u_lo, u_hi)
     ratio, _, sigma2 = profile(u)
-    eta = max(ratio * sigma2, ETA_FLOOR)
-    # the eta floor and the sigma2 floor can cut the profile below the
-    # current point; keeping the current variances then stays monotone
+    eta = ratio * sigma2
+    # the profile need not be unimodal in r, so the root found (or a bracket
+    # end) can score below the current point; keeping the current variances
+    # then stays monotone
     if objective(sigma2, eta) < objective(current.sigma2, current.eta):
         sigma2, eta = current.sigma2, current.eta
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
@@ -370,7 +364,7 @@ def _null_params(stats):
     return PriorParams(
         tau1=TAU_CLAMP,
         beta=np.zeros(stats.p),
-        eta=ETA_FLOOR,
+        eta=R_FLOOR * float(sigma2),
         sigma2=float(sigma2),
     )
 
@@ -382,7 +376,7 @@ def _init_from_stats(stats):
     sigma2 = max(float(stats.rss_ols.sum()) / dof, floor, np.finfo(np.float64).tiny)
     lt_dev = (stats.betahat - beta0) @ stats.gram_factor    # rows L'(betahat - beta0)
     spread = float(np.mean(np.sum(lt_dev**2, axis=1))) / stats.p
-    eta0 = max(spread - sigma2, 10.0 * ETA_FLOOR)
+    eta0 = max(spread - sigma2, 10.0 * R_FLOOR * sigma2)
     return PriorParams(tau1=0.5, beta=beta0, eta=eta0, sigma2=sigma2)
 
 

@@ -116,17 +116,14 @@ def write_matrix_tsv(path, values, col_ids=None, row_ids=None, na_mask=None):
         na_mask = np.zeros((r, c), dtype=bool)
     if col_ids is None:
         col_ids = [f"col{j + 1}" for j in range(c)]
+    header = [str(s) for s in col_ids]
     with open(path, "w", encoding="utf-8") as fh:
-        if row_ids is None:
-            fh.write("\t".join(str(s) for s in col_ids) + "\n")
-            for i in range(r):
-                cells = ["NA" if na_mask[i, j] else fmt(values[i, j]) for j in range(c)]
-                fh.write("\t".join(cells) + "\n")
-        else:
-            fh.write("\t".join(["#id"] + [str(s) for s in col_ids]) + "\n")
-            for i in range(r):
-                cells = ["NA" if na_mask[i, j] else fmt(values[i, j]) for j in range(c)]
-                fh.write("\t".join([str(row_ids[i])] + cells) + "\n")
+        fh.write("\t".join(header if row_ids is None else ["#id"] + header) + "\n")
+        for i in range(r):
+            cells = ["NA" if na_mask[i, j] else fmt(values[i, j]) for j in range(c)]
+            if row_ids is not None:
+                cells.insert(0, str(row_ids[i]))
+            fh.write("\t".join(cells) + "\n")
 
 
 def _json_17g(obj, out):
@@ -203,7 +200,9 @@ def read_fit_json(path):
 
     The conditional means are reconstructed as post_mean / h; when h
     underflows to zero the conditional mean is unrecoverable and zeros
-    are stored (post_mean is zero there too).
+    are stored (post_mean is zero there too).  Earlier versions floored eta
+    alone; a report with eta/sigma2 below R_FLOOR loads with eta raised to
+    R_FLOOR * sigma2, and its post_mean (so its predictions) as written.
 
     Raises
     ------

@@ -46,8 +46,9 @@ def _checked_cholesky(a, what):
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"{what} is not positive definite") from exc
-    diag = np.diagonal(a)
-    if np.min(np.diagonal(low)) ** 2 < PIVOT_RTOL * np.max(diag):
+    # pivot_j^2 / a_jj is 1 - R^2 of column j on the columns before it, so
+    # rescaling the columns cannot move it
+    if np.min(np.diagonal(low) ** 2 / np.diagonal(a)) < PIVOT_RTOL:
         raise RankDeficient(f"{what} is numerically rank deficient")
     return low
 

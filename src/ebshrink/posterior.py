@@ -20,22 +20,25 @@ import numpy as np
 from .errors import NonFinite
 
 # clamp bounds keeping the mixture weights and prior spread away from the
-# boundary, where the log-densities and odds degenerate
+# boundary, where the log-densities and odds degenerate.  The spread is
+# floored as the ratio r = eta/sigma2, the g-prior's own parameter, so the
+# floor moves with the response scale: y -> c y leaves every fit equivariant
 TAU_CLAMP = 1e-6
-ETA_FLOOR = 1e-10
+R_FLOOR = 1e-12
 
 
-def clamp_tau(tau1, clamp=TAU_CLAMP):
-    """Clamp a mixture weight into [clamp, 1-clamp]."""
-    return float(min(max(tau1, clamp), 1.0 - clamp))
+def clamp_tau(tau1):
+    """Clamp a mixture weight into [TAU_CLAMP, 1-TAU_CLAMP]."""
+    return float(min(max(tau1, TAU_CLAMP), 1.0 - TAU_CLAMP))
 
 
 @dataclass(frozen=True)
 class PriorParams:
     """Shared-prior parameters (tau1, beta, eta, sigma2).
 
-    tau1 is clamped into [1e-6, 1-1e-6] and eta floored at 1e-10 on
-    construction; sigma2 must be strictly positive and finite.
+    tau1 is clamped into [1e-6, 1-1e-6] on construction; sigma2 must be
+    strictly positive and finite, and eta is raised to at least
+    R_FLOOR * sigma2 (r = eta/sigma2 >= 1e-12).
     """
 
     tau1: float
@@ -54,8 +57,8 @@ class PriorParams:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         object.__setattr__(self, "tau1", clamp_tau(self.tau1))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "eta", float(max(self.eta, ETA_FLOOR)))
         object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "eta", float(max(self.eta, R_FLOOR * self.sigma2)))
 
     @property
     def tau0(self):

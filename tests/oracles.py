@@ -158,13 +158,14 @@ def quad_posterior_mean_1d(x, y, params):
     return moment / (null_mass + mass)
 
 
-def numeric_q_max_complete(x, y_panel, resp, eta_floor=1e-10):
+def numeric_q_max_complete(x, y_panel, resp, r_floor=1e-12):
     """Black-box maximizer of the complete-data EM objective.
 
     Q(theta') = sum_t T0 [log tau0 + lg0] + T1 [log tau1 + lg1], with the
     component log-densities formed densely.  beta is profiled first (the
     T1-weighted projected residual), then (sigma2, eta) found by log-grid
-    search plus Nelder-Mead refinement, tau1 by its own 1-D refinement.
+    search plus Nelder-Mead refinement, with eta floored at r_floor * sigma2,
+    tau1 by its own 1-D refinement.
     Returns (tau1, beta, sigma2, eta).
     """
     n, p = x.shape
@@ -198,7 +199,7 @@ def numeric_q_max_complete(x, y_panel, resp, eta_floor=1e-10):
     grid = scale * np.logspace(-4, 4, 17)
     best = None
     for s2 in grid:
-        for eta in np.concatenate(([eta_floor], grid)):
+        for eta in np.concatenate(([r_floor * s2], grid)):
             val = q_of(s2, eta)
             if best is None or val > best[0]:
                 best = (val, s2, eta)
@@ -209,7 +210,7 @@ def numeric_q_max_complete(x, y_panel, resp, eta_floor=1e-10):
         options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
     )
     sigma2, eta = np.exp(refined.x)
-    eta = max(eta, eta_floor)
+    eta = max(eta, r_floor * sigma2)
 
     def tau_score(tau):
         return float(t0.sum()) * np.log(1.0 - tau) + float(t1.sum()) * np.log(tau)

@@ -20,7 +20,7 @@ from ebshrink.em import (
 )
 from ebshrink.errors import BadShape, DegenerateResponsibilities, RankDeficient
 from ebshrink.linalg import build_design, ols
-from ebshrink.posterior import ETA_FLOOR, TAU_CLAMP, PriorParams
+from ebshrink.posterior import PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
 
 from oracles import (
@@ -272,8 +272,9 @@ class TestMStepComplete:
         panel = ResponsePanel(y)
         resp = np.column_stack([np.full(4, 0.5), np.full(4, 0.5)])
         new = m_step_complete(d, panel, resp)
-        assert new.eta >= 1e-10
         assert new.sigma2 > 0.0
+        # the spread sits on its floor, the ratio r = eta/sigma2 = 1e-12
+        assert new.eta / new.sigma2 == pytest.approx(1e-12, rel=1e-12)
 
 
 class TestMStepMasked:
@@ -337,7 +338,9 @@ class TestInitParams:
         panel = ResponsePanel(np.column_stack([y, y]))
         start = init_params(d, panel)
         assert start.sigma2 > 0.0
-        assert start.eta >= 1e-9
+        # identical tissues have no spread, so eta starts at ten times the
+        # ratio floor: eta/sigma2 = 1e-11
+        assert start.eta / start.sigma2 == pytest.approx(1e-11, rel=1e-12)
 
 
 class TestFit:
@@ -412,9 +415,7 @@ class TestFit:
         p0 = res.params
 
         def ll_at(beta, sigma2, eta):
-            params = PriorParams(
-                tau1=p0.tau1, beta=beta, eta=max(eta, 1e-10), sigma2=sigma2
-            )
+            params = PriorParams(tau1=p0.tau1, beta=beta, eta=eta, sigma2=sigma2)
             return e_step(d, panel, params)[1]
 
         ll0 = ll_at(p0.beta, p0.sigma2, p0.eta)
@@ -454,7 +455,7 @@ class TestFit:
         d = build_design(data.x)
         options = FitOptions(tol=1e-300, max_iter=30)
         base = fit(d, data.panel, options)
-        for c in (1e6, 1e100, 1e150):
+        for c in (1e-100, 1e-6, 1e6, 1e100, 1e150):
             scaled = fit(d, ResponsePanel(data.panel.y * c, mask=data.panel.mask), options)
             assert scaled.iterations == base.iterations
             assert_allclose(scaled.params.sigma2 / c**2, base.params.sigma2, rtol=1e-9)
@@ -464,18 +465,46 @@ class TestFit:
                 [q.h for q in scaled.posteriors], [q.h for q in base.posteriors], rtol=1e-9
             )
 
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_column_scaling_invariance(self, setting):
+        # X -> X D for diagonal D gives beta -> D^-1 beta with sigma2, eta and
+        # h unchanged (g-prior invariance), however far apart the scales
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        options = FitOptions(tol=1e-300, max_iter=30)
+        base = fit(build_design(data.x), data.panel, options)
+        for s in (1e4, 1e6, 1e7):
+            col = np.ones(data.x.shape[1])
+            col[0], col[1] = 1.0 / s, s
+            scaled = fit(build_design(data.x * col), data.panel, options)
+            assert scaled.iterations == base.iterations
+            assert_allclose(scaled.params.beta * col, base.params.beta, rtol=1e-9)
+            assert_allclose(scaled.params.sigma2, base.params.sigma2, rtol=1e-9)
+            assert_allclose(scaled.params.eta, base.params.eta, rtol=1e-9)
+            assert_allclose(
+                [q.h for q in scaled.posteriors], [q.h for q in base.posteriors], rtol=1e-9
+            )
+
     @pytest.mark.parametrize("missing", [0, 3])
     def test_all_zero_panel_gives_null_fit(self, missing):
-        rng = np.random.default_rng(90)
-        d, panel = random_problem(rng, n=12, p=2, m=4, missing=missing)
-        res = fit(d, ResponsePanel(np.where(panel.mask, 0.0, np.nan), mask=panel.mask))
-        assert res.converged
+        # with no data sigma2 falls to its floor, and with r = eta/sigma2 on
+        # its floor too the two components differ only by sum log(1 + r d),
+        # about 1e-12: the fit stops with both components equally likely
+        def zero_fit(n_missing):
+            rng = np.random.default_rng(90)
+            d, panel = random_problem(rng, n=12, p=2, m=4, missing=n_missing)
+            return fit(d, ResponsePanel(np.where(panel.mask, 0.0, np.nan), mask=panel.mask))
+
+        res, ref = zero_fit(missing), zero_fit(0)
+        tiny = np.finfo(np.float64).tiny
+        assert res.converged and res.iterations == 2
         assert np.all(np.isfinite(res.loglik_trace))
-        assert res.params.tau1 == TAU_CLAMP
-        assert res.params.eta == ETA_FLOOR
-        assert res.params.sigma2 == np.finfo(np.float64).tiny
         assert_allclose(res.params.beta, 0.0, atol=0.0)
-        assert all(q.h < 1e-12 for q in res.posteriors)
+        assert res.params.sigma2 == tiny
+        assert res.params.eta == 1e-12 * tiny
+        assert res.params.tau1 == pytest.approx(0.5, abs=1e-9)
+        # the complete (ref) and masked paths agree
+        assert res.params.tau1 == pytest.approx(ref.params.tau1, rel=1e-9)
+        assert_allclose([q.h for q in res.posteriors], [q.h for q in ref.posteriors], rtol=1e-9)
 
     def test_null_data_converges(self):
         rng = np.random.default_rng(89)

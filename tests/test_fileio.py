@@ -113,6 +113,23 @@ class TestWriteMatrixTsv:
         assert np.array_equal(back.na_mask, mask)
         assert np.array_equal(back.values[~mask], values[~mask])
 
+    @pytest.mark.parametrize(
+        "row_ids, expected",
+        [
+            (None, "t1\tt2\tt3\n1.5\tNA\t-1.9999999999999999e-07\n"
+                   "NA\t0.10000000000000001\t30000000000\n"),
+            (["r1", "r2"], "#id\tt1\tt2\tt3\nr1\t1.5\tNA\t-1.9999999999999999e-07\n"
+                           "r2\tNA\t0.10000000000000001\t30000000000\n"),
+        ],
+        ids=["plain", "row_ids"],
+    )
+    def test_exact_bytes(self, tmp_path, row_ids, expected):
+        values = np.array([[1.5, np.nan, -2e-7], [np.nan, 0.1, 3e10]])
+        p = tmp_path / "y.tsv"
+        write_matrix_tsv(p, values, col_ids=["t1", "t2", "t3"], row_ids=row_ids,
+                         na_mask=np.isnan(values))
+        assert p.read_bytes() == expected.encode("utf-8")
+
     def test_default_column_ids(self, tmp_path):
         p = tmp_path / "m.tsv"
         write_matrix_tsv(p, np.ones((2, 3)))
@@ -157,6 +174,26 @@ class TestFitJson:
         back, _ = read_fit_json(str(p))
         probe = np.random.default_rng(94).standard_normal((7, 3))
         assert np.array_equal(predict(probe, back), predict(probe, res))
+
+    def test_report_below_ratio_floor_loads(self, tmp_path):
+        # written before the spread was floored as a ratio: eta = 1e-10 with
+        # sigma2 = 1e4 is r = 1e-14, below today's r >= 1e-12
+        text = (
+            '{"params": {"tau1": 0.29999999999999999, "beta": [0.5, -1.25], "eta": 1e-10, '
+            '"sigma2": 10000}, "posteriors": [{"tissue": "liver", "h": 0.8125, '
+            '"post_mean": [0.40625, -1.015625], "log_bf": -0.60999999999999999, '
+            '"log_odds": -1.46}, {"tissue": "lung", "h": 0.0625, '
+            '"post_mean": [0.03125, -0.078125], "log_bf": 3.5499999999999998, '
+            '"log_odds": 2.7000000000000002}], "loglik_trace": [-120.5, -118.3], '
+            '"iterations": 2, "converged": true}\n'
+        )
+        back, names = read_fit_json(write_text(tmp_path / "old.json", text))
+        assert names == ["liver", "lung"]
+        assert back.params.sigma2 == 1e4
+        assert back.params.eta == 1e-8        # raised to 1e-12 * sigma2
+        probe = np.random.default_rng(95).standard_normal((5, 2))
+        post_mean = np.array([[0.40625, 0.03125], [-1.015625, -0.078125]])
+        assert np.array_equal(predict(probe, back), probe @ post_mean)
 
     @pytest.mark.parametrize(
         "edit, error",

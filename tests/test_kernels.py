@@ -35,7 +35,7 @@ def test_component_loglik_matches_dense():
         design, panel, stats = random_stats(rng, masked=masked)
         beta = rng.standard_normal(3)
         for eta in (2.5, 0.0):
-            # a namespace, not PriorParams, which would floor eta at 1e-10
+            # a namespace, not PriorParams, which would floor eta at 1e-12 sigma2
             params = SimpleNamespace(beta=beta, eta=eta, sigma2=1.3)
             w2, rss = stats.residual_stats(beta)
             lg0, lg1 = kernels.component_loglik(

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from ebshrink.errors import BadShape, NonFinite, RankDeficient
 from ebshrink.linalg import _checked_cholesky, build_design, ols
 
+from test_em import collinear_panel
+
 
 def random_design(rng, n, p):
     return build_design(rng.standard_normal((n, p)))
@@ -86,6 +88,23 @@ class TestOls:
         # keep two rows: 2 < p, observed Gram singular
         with pytest.raises(RankDeficient):
             ols(d, y, mask=[True, True, False, False, False])
+
+    def test_masked_pivot_check_is_scale_free(self):
+        # t2's observed rows nearly satisfy column 3 = column 0 + column 1;
+        # rescaling the columns leaves that share, and the fit, unchanged
+        x, panel = collinear_panel(1e-3)
+        y, mask = panel.y[:, 1], panel.mask[:, 1]
+        scale = np.array([100.0, 1.0, 1.0, 0.01])
+        base = ols(build_design(x), y, mask=mask)
+        scaled = ols(build_design(x * scale), y, mask=mask)
+        assert_allclose(scaled * scale, base, rtol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_masked_collinear_rows_rejected(self, scale):
+        x, panel = collinear_panel(0.0)
+        x[:, 0] *= scale
+        with pytest.raises(RankDeficient, match="observed-row"):
+            ols(build_design(x), panel.y[:, 1], mask=panel.mask[:, 1])
 
 
 class TestCheckedCholesky:

@@ -20,7 +20,9 @@ class TestPriorParams:
     def test_clamps(self):
         p = PriorParams(tau1=0.0, beta=np.zeros(2), eta=0.0, sigma2=1.0)
         assert p.tau1 == 1e-6
-        assert p.eta == 1e-10
+        assert p.eta == 1e-12
+        # the floor is on eta/sigma2, so it moves with sigma2
+        assert PriorParams(tau1=0.5, beta=np.zeros(2), eta=0.0, sigma2=1e4).eta == 1e-8
         p = PriorParams(tau1=1.0, beta=np.zeros(2), eta=1.0, sigma2=1.0)
         assert p.tau1 == 1.0 - 1e-6
         assert p.tau0 == pytest.approx(1e-6)
