@@ -9,6 +9,8 @@ scheduling, never results.
 import argparse
 import sys
 
+import numpy as np
+
 from .crossval import kfold_cv, predict, stouffer_combine
 from .em import FitOptions, ResponsePanel, fit
 from .errors import EbshrinkError, ParseError
@@ -133,20 +135,13 @@ def _cmd_cv(args):
 
 def _cmd_screen(args):
     z_file = read_matrix_tsv(args.z, allow_na=False)
-    z_vals = z_file.values
-    row_ids = z_file.row_ids
-    if row_ids is None:
-        row_ids = [f"row{i + 1}" for i in range(z_vals.shape[0])]
-    kept = []
-    for i in range(z_vals.shape[0]):
-        z, p = stouffer_combine(z_vals[i])
-        if p < args.alpha:
-            kept.append((row_ids[i], z, p))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("#id\tz\tp\n")
-        for rid, z, p in kept:
-            fh.write(f"{rid}\t{fmt(z)}\t{fmt(p)}\n")
-    print(f"kept {len(kept)} of {z_vals.shape[0]} rows at alpha={fmt(args.alpha)}")
+    n_rows = z_file.values.shape[0]
+    row_ids = z_file.row_ids or [f"row{i + 1}" for i in range(n_rows)]
+    combined = np.array([stouffer_combine(z) for z in z_file.values])
+    keep = combined[:, 1] < args.alpha
+    kept_ids = [rid for rid, k in zip(row_ids, keep) if k]
+    write_matrix_tsv(args.out, combined[keep], col_ids=["z", "p"], row_ids=kept_ids)
+    print(f"kept {len(kept_ids)} of {n_rows} rows at alpha={fmt(args.alpha)}")
     return 0
 
 

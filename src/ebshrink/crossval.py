@@ -5,7 +5,7 @@ so every observed cell is held out exactly once; the model is refit k
 times with the held-out cells masked across all tissues simultaneously.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import math
 
@@ -14,6 +14,8 @@ import numpy as np
 from ._parallel import parallel_map
 from .em import FitOptions, ResponsePanel, fit
 from .errors import BadShape, FoldTooSmall, NonFinite
+from .fileio import render_table, write_text
+from .simulate import mse as pmse
 
 
 def predict(x_new, fit_result):
@@ -27,15 +29,6 @@ def predict(x_new, fit_result):
     if not np.all(np.isfinite(x_new)):
         raise NonFinite("new covariates contain NaN or infinite entries")
     return x_new @ coefs
-
-
-def pmse(predictions, truth):
-    """Mean squared prediction error over paired finite entries."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predictions.shape != truth.shape:
-        raise BadShape(f"shape mismatch {predictions.shape} vs {truth.shape}")
-    return float(np.mean((predictions - truth) ** 2))
 
 
 def r_squared(predictions, truth):
@@ -77,18 +70,10 @@ class CvReport:
     CSV_HEADER = "tissue,n_obs,pmse,r2"
 
     def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [r.tissue, str(r.n_obs), format(r.pmse, ".17g"), format(r.r2, ".17g")]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return render_table(self.CSV_HEADER.split(","), map(astuple, self.rows), ",")
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        write_text(path, self.to_csv())
 
 
 def kfold_cv(design, panel, k=10, seed=0, options=None):

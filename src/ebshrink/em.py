@@ -30,7 +30,7 @@ from scipy.special import expit
 from . import kernels
 from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
 from .linalg import PIVOT_RTOL, _apply_mask, _checked_cholesky
-from .posterior import R_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior, clamp_tau
+from .posterior import R_FLOOR, TAU_CLAMP, PriorParams, TissuePosterior
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
@@ -161,6 +161,8 @@ class _SuffStats:
         x, low = design.x, design.gram_factor
         n, p = design.n, design.p
         m = panel.m
+        if panel.n != n:
+            raise BadShape(f"panel has {panel.n} rows, design has {n}")
         counts = panel.observed_counts()
         short = counts < p + 1
         if np.any(short):
@@ -200,6 +202,11 @@ class _SuffStats:
         self.pb = (self.vecs @ xty[:, :, None])[:, :, 0]
         self.betahat = self.to_coefficients(self.pb / self.d)
         self.rss_ols = np.maximum(self.css - np.sum(self.pb**2 / self.d, axis=1), 0.0)
+
+    def check_mean(self, params):
+        """Raise BadShape unless params.beta has one entry per covariate."""
+        if params.beta.shape != (self.p,):
+            raise BadShape(f"beta has shape {params.beta.shape}, design has p = {self.p}")
 
     def to_coefficients(self, c):
         """L^-T V_t c_t for every row c_t of the (m, p) eigenbasis array c."""
@@ -275,7 +282,7 @@ def _m_step_complete_core(stats, resp):
         )
     m, p = stats.m, stats.p
     n = float(stats.nobs[0])
-    tau1 = clamp_tau(mass / m)
+    tau1 = mass / m
     beta = (stats.betahat.T @ t_one) / mass
     yhy = np.sum(stats.pb**2, axis=1)
     css_total = float(stats.css.sum())
@@ -297,7 +304,7 @@ def _m_step_masked_core(stats, resp, current):
     t_zero = np.ascontiguousarray(resp[:, 0])
     t_one = np.ascontiguousarray(resp[:, 1])
     mass = float(t_one.sum())
-    tau1 = clamp_tau(mass / stats.m)
+    tau1 = mass / stats.m
 
     if mass < DEGENERATE_MASS:
         beta = current.beta
@@ -388,7 +395,9 @@ def e_step(design, panel, params):
     (resp, loglik) : ndarray of shape (m, 2), float
         Rows of resp are (P[null], P[signal]) and sum to 1 exactly.
     """
-    resp, loglik, _, _ = _estep_core(_SuffStats(design, panel), params)
+    stats = _SuffStats(design, panel)
+    stats.check_mean(params)
+    resp, loglik, _, _ = _estep_core(stats, params)
     return resp, loglik
 
 
@@ -416,6 +425,7 @@ def m_step_masked(design, panel, resp, current):
     signal mass beta is kept and tau1 falls to its clamp floor.
     """
     stats = _SuffStats(design, panel)
+    stats.check_mean(current)
     return _m_step_masked_core(stats, _check_resp(resp, panel.m), current)
 
 
@@ -491,7 +501,8 @@ def tissue_posterior(design, y, params, mask=None):
     Raises
     ------
     BadShape
-        If fewer than p+1 rows are observed.
+        If fewer than p+1 rows are observed, or params.beta does not have p
+        entries.
     """
     _, y_obs = _apply_mask(design, y, mask)
     if mask is None:
@@ -502,5 +513,6 @@ def tissue_posterior(design, y, params, mask=None):
         col[mask] = y_obs
         panel = ResponsePanel(col[:, None], mask=mask[:, None])
     stats = _SuffStats(design, panel)
+    stats.check_mean(params)
     resp, _, lg0, lg1 = _estep_core(stats, params)
     return _summarize(stats, params, resp, lg0, lg1)[0]

@@ -1,10 +1,12 @@
-"""Tab-separated matrix files and the fit report JSON.
+"""Delimited tables, tab-separated matrix files and the fit report JSON.
+
+:func:`render_table` renders every delimited file the package writes:
+numbers at 17 significant digits, so round-trips are bitwise exact, and a
+cell holding the separator or a line break is an error, not a shifted field.
 
 TSV layout: the first row holds column identifiers; when its first cell is
 ``#id`` every data row additionally starts with a row identifier.  Cells
-are decimal floats; ``NA`` marks a missing response where permitted.  All
-numbers are written with 17 significant digits so round-trips are bitwise
-exact.
+are decimal floats; ``NA`` marks a missing response where permitted.
 """
 
 import json
@@ -20,6 +22,36 @@ from .posterior import PriorParams, TissuePosterior
 def fmt(value):
     """17-significant-digit decimal; round-trips any float64 exactly."""
     return format(float(value), ".17g")
+
+
+def render_table(header, rows, sep="\t"):
+    """Text of a delimited table, one line per row, each ending in a newline.
+
+    Float cells are written by :func:`fmt`, every other cell by ``str``.  A
+    row whose width differs from the header's, or a cell holding ``sep``,
+    ``\\n`` or ``\\r``, raises ValueError naming its 1-based line (and field).
+    """
+    lines = []
+    for row in (header, *rows):
+        cells = [fmt(c) if isinstance(c, float) else str(c) for c in row]
+        if len(cells) != len(header):
+            raise ValueError(f"line {len(lines) + 1} has {len(cells)} cells, header {len(header)}")
+        line = sep.join(cells)
+        if line.count(sep) != len(cells) - 1 or "\n" in line or "\r" in line:
+            for j, cell in enumerate(cells):
+                if sep in cell or "\n" in cell or "\r" in cell:
+                    raise ValueError(
+                        f"cell {cell!r} (line {len(lines) + 1}, field {j + 1}) holds the "
+                        f"separator {sep!r} or a line break"
+                    )
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text):
+    """Write already rendered text, so a rendering error creates no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -111,19 +143,19 @@ def write_matrix_tsv(path, values, col_ids=None, row_ids=None, na_mask=None):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got shape {values.shape}")
-    r, c = values.shape
-    if na_mask is None:
-        na_mask = np.zeros((r, c), dtype=bool)
     if col_ids is None:
-        col_ids = [f"col{j + 1}" for j in range(c)]
+        col_ids = [f"col{j + 1}" for j in range(values.shape[1])]
     header = [str(s) for s in col_ids]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header if row_ids is None else ["#id"] + header) + "\n")
-        for i in range(r):
-            cells = ["NA" if na_mask[i, j] else fmt(values[i, j]) for j in range(c)]
-            if row_ids is not None:
-                cells.insert(0, str(row_ids[i]))
-            fh.write("\t".join(cells) + "\n")
+    rows = values.tolist()
+    if na_mask is not None:
+        if np.shape(na_mask) != values.shape:
+            raise ValueError(f"na_mask shape {np.shape(na_mask)} != matrix shape {values.shape}")
+        for i, j in zip(*np.nonzero(na_mask)):
+            rows[i][j] = "NA"
+    if row_ids is not None:
+        header = ["#id", *header]
+        rows = [[str(row_ids[i]), *row] for i, row in enumerate(rows)]
+    write_text(path, render_table(header, rows))
 
 
 def _json_17g(obj, out):
@@ -187,8 +219,7 @@ def write_fit_json(path, result, tissue_names):
     }
     out = []
     _json_17g(doc, out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out) + "\n")
+    write_text(path, "".join(out) + "\n")
 
 
 def read_fit_json(path):

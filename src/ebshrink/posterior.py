@@ -27,11 +27,6 @@ TAU_CLAMP = 1e-6
 R_FLOOR = 1e-12
 
 
-def clamp_tau(tau1):
-    """Clamp a mixture weight into [TAU_CLAMP, 1-TAU_CLAMP]."""
-    return float(min(max(tau1, TAU_CLAMP), 1.0 - TAU_CLAMP))
-
-
 @dataclass(frozen=True)
 class PriorParams:
     """Shared-prior parameters (tau1, beta, eta, sigma2).
@@ -55,7 +50,7 @@ class PriorParams:
             raise NonFinite("scalar prior parameters must be finite")
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        object.__setattr__(self, "tau1", clamp_tau(self.tau1))
+        object.__setattr__(self, "tau1", float(min(max(self.tau1, TAU_CLAMP), 1.0 - TAU_CLAMP)))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "eta", float(max(self.eta, R_FLOOR * self.sigma2)))

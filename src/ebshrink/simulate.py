@@ -9,7 +9,7 @@ genotype-like 0/1/2 covariates resampled with replacement from a pool
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 from ._parallel import parallel_map
 from .em import FitOptions, ResponsePanel, fit, tissue_posterior
 from .errors import BadConfig, BadShape, DegenerateLabels, EbshrinkError, NonFinite
+from .fileio import render_table, write_text
 from .linalg import Design, build_design, ols
 from .posterior import PriorParams
 
@@ -44,7 +45,7 @@ _SETTING_DEFAULTS = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Complete description of one simulation scenario.
+    """Complete description of one simulation scenario, validated on construction.
 
     eta is the prior spread used when drawing coefficients from the model
     itself (risk and contraction studies); it defaults to float(n), which
@@ -86,11 +87,9 @@ class SimConfig:
         values.update(overrides)
         if values["eta"] is None:
             values["eta"] = float(values["n"])
-        cfg = cls(**values)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise BadConfig(f"rho must be in [0, 1), got {self.rho}")
         if not 0.0 <= self.missing_frac < 1.0:
@@ -227,7 +226,6 @@ def simulate_setting(config):
     (covariates, activity indicators, coefficients, noise, masks), so equal
     configs give bitwise-equal data.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     x = _draw_x(rng, config)
     active = rng.random(config.m) < config.tau1
@@ -235,16 +233,17 @@ def simulate_setting(config):
     noise = rng.standard_normal((config.n, config.m)) * np.sqrt(config.sigma2)
     y = x @ true_beta + noise
     mask = _draw_mask(rng, config.n, config.m, config.missing_frac)
-    y = np.where(mask, y, np.nan)
-    names = tuple(f"t{j + 1}" for j in range(config.m))
-    panel = ResponsePanel(y=y, mask=mask, tissue_names=names)
+    panel = ResponsePanel(y=np.where(mask, y, np.nan), mask=mask)
     return SimData(
         x=x, panel=panel, true_beta=true_beta, true_active=active, config=config
     )
 
 
 def mse(estimates, truth):
-    """Mean squared coefficient error, averaged over every entry of (p, m)."""
+    """Mean squared error over every entry of two equal-shaped arrays.
+
+    Nothing is dropped: a NaN on either side makes the result NaN.
+    """
     estimates = np.asarray(estimates, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimates.shape != truth.shape:
@@ -308,27 +307,10 @@ class SimReport:
     CSV_HEADER = "setting,rho,beta_s,reps,mse_ols,mse_proposed,auc,failed"
 
     def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.setting),
-                        format(r.rho, ".17g"),
-                        format(r.beta_s, ".17g"),
-                        str(r.reps),
-                        format(r.mse_ols, ".17g"),
-                        format(r.mse_proposed, ".17g"),
-                        format(r.auc, ".17g"),
-                        str(r.failed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return render_table(self.CSV_HEADER.split(","), map(astuple, self.rows), ",")
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+        write_text(path, self.to_csv())
 
 
 def _one_replication(config, rep_index, options):
@@ -360,7 +342,6 @@ def run_replications(config, reps, options=None):
     -------
     SimReport with a single row.
     """
-    config.validate()
     if reps < 1:
         raise BadConfig(f"reps must be >= 1, got {reps}")
     options = options or FitOptions()
@@ -465,7 +446,6 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
     -------
     RiskEstimate
     """
-    config.validate()
     if reps < 2:
         raise BadConfig(f"reps must be >= 2 for a standard error, got {reps}")
     if delta is None:

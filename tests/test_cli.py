@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ebshrink.cli import cli_main
-from ebshrink.fileio import read_matrix_tsv, write_matrix_tsv
+from ebshrink.em import ResponsePanel, fit
+from ebshrink.fileio import read_matrix_tsv, write_fit_json, write_matrix_tsv
+from ebshrink.linalg import build_design
 from ebshrink.simulate import SimConfig, simulate_setting
 
 
@@ -123,7 +125,69 @@ class TestScreen:
         write_matrix_tsv(z_path, np.ones((1, 4)), col_ids=list("abcd"))
         out = tmp_path / "kept.tsv"
         assert cli_main(["screen", "--z", str(z_path), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1
+        assert out.read_bytes() == b"#id\tz\tp\n"
+
+    @pytest.mark.parametrize(
+        "values, col_ids, row_ids, alpha, expected",
+        [
+            (
+                [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [-3.0, 0.5, -2.0, -1.25]],
+                ["t1", "t2", "t3", "t4"],
+                ["strong", "null", "neg"],
+                "0.05",
+                "#id\tz\tp\nstrong\t2\t0.045500263896358438\n"
+                "neg\t-2.875\t0.0040402749798920043\n",
+            ),
+            (
+                [[0.1, 0.2], [5.0, -0.3], [-4.0, -4.0]],
+                ["a", "b"],
+                None,
+                "0.01",
+                "#id\tz\tp\nrow2\t3.3234018715767735\t0.00088926703213245437\n"
+                "row3\t-5.6568542494923797\t1.541725790028008e-08\n",
+            ),
+        ],
+        ids=["row_ids", "generated_ids"],
+    )
+    def test_exact_bytes(self, tmp_path, values, col_ids, row_ids, alpha, expected):
+        z_path = tmp_path / "z.tsv"
+        write_matrix_tsv(z_path, np.array(values), col_ids=col_ids, row_ids=row_ids)
+        out = tmp_path / "kept.tsv"
+        code = cli_main(["screen", "--z", str(z_path), "--alpha", alpha, "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
+
+class TestCellsHoldingTheSeparator:
+    # a name holding the file's separator or a line break would shift every
+    # later field of its line; the command fails before any file is created
+    def test_cv_rejects_comma_in_tissue_name(self, sim_files, tmp_path, capsys):
+        x_path, y_path = sim_files
+        y_file = read_matrix_tsv(y_path, allow_na=True)
+        names = ["Brain, Cortex"] + y_file.col_ids[1:]
+        y_named = tmp_path / "y_named.tsv"
+        write_matrix_tsv(y_named, y_file.values, col_ids=names, na_mask=y_file.na_mask)
+        out = tmp_path / "cv.csv"
+        code = cli_main(
+            ["cv", "--x", x_path, "--y", str(y_named), "--folds", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert "Brain, Cortex" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_rejects_tab_in_tissue_name(self, sim_files, tmp_path, capsys):
+        x_path, y_path = sim_files
+        x_file = read_matrix_tsv(x_path)
+        y_file = read_matrix_tsv(y_path, allow_na=True)
+        names = ["Brain\tCortex"] + y_file.col_ids[1:]
+        panel = ResponsePanel(y_file.values, mask=~y_file.na_mask, tissue_names=names)
+        fit_json = tmp_path / "fit.json"
+        write_fit_json(fit_json, fit(build_design(x_file.values), panel), panel.tissue_names)
+        out = tmp_path / "pred.tsv"
+        code = cli_main(["predict", "--x", x_path, "--fit", str(fit_json), "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

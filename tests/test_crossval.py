@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from ebshrink.crossval import (
     CvReport,
+    CvTissueRow,
     kfold_cv,
     pmse,
     predict,
@@ -120,6 +121,25 @@ class TestKfoldCv:
         out = tmp_path / "cv.csv"
         report.write(out)
         assert out.read_text().splitlines()[0] == CvReport.CSV_HEADER
+
+    def test_exact_bytes(self, tmp_path):
+        report = CvReport(
+            rows=(
+                CvTissueRow("Brain_Cortex", 40, 85.791771627421923, 0.1),
+                CvTissueRow("liver", 7, 1e-300, 1.0),
+            ),
+            folds=4,
+            fold_sizes=((10, 10, 10, 10), (2, 2, 2, 1)),
+        )
+        expected = (
+            "tissue,n_obs,pmse,r2\n"
+            "Brain_Cortex,40,85.791771627421923,0.10000000000000001\n"
+            "liver,7,1e-300,1\n"
+        )
+        assert report.to_csv() == expected
+        out = tmp_path / "cv.csv"
+        report.write(out)
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_k_too_small(self):
         d, panel, _ = fitted_toy()

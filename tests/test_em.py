@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ebshrink import kernels
+from ebshrink.crossval import kfold_cv
 from ebshrink.em import (
     GRAM_BLOCK_BYTES,
     FitOptions,
@@ -49,6 +50,64 @@ def random_params(rng, p):
         beta=rng.standard_normal(p) * 0.5,
         eta=float(rng.uniform(0.5, 3.0)),
         sigma2=float(rng.uniform(0.5, 2.0)),
+    )
+
+
+# entry points called with a response panel of two rows fewer than the design
+SHORT_PANEL_CALLS = {
+    "fit": lambda d, panel, resp, params: fit(d, panel),
+    "e_step": lambda d, panel, resp, params: e_step(d, panel, params),
+    "init_params": lambda d, panel, resp, params: init_params(d, panel),
+    "m_step_complete": lambda d, panel, resp, params: m_step_complete(d, panel, resp),
+    "m_step_masked": lambda d, panel, resp, params: m_step_masked(d, panel, resp, params),
+    "kfold_cv": lambda d, panel, resp, params: kfold_cv(d, panel, k=2),
+}
+
+# entry points called with a prior mean of 5 entries at p = 3; the masked
+# M-step is tried with and without signal mass
+WIDE_BETA_CALLS = {
+    "e_step": lambda d, panel, resp, params: e_step(d, panel, params),
+    "tissue_posterior": lambda d, panel, resp, params: tissue_posterior(
+        d, panel.y[:, 0], params, mask=panel.mask[:, 0]
+    ),
+    "m_step_masked": lambda d, panel, resp, params: m_step_masked(d, panel, resp, params),
+    "m_step_masked_no_mass": lambda d, panel, resp, params: m_step_masked(
+        d, panel, np.column_stack((np.ones(panel.m), np.zeros(panel.m))), params
+    ),
+}
+
+
+class TestShapeMismatch:
+    # inputs that disagree in shape end in BadShape, not an untyped numpy error
+    @pytest.mark.parametrize("call", SHORT_PANEL_CALLS.values(), ids=SHORT_PANEL_CALLS.keys())
+    def test_panel_rows_differ_from_design(self, call):
+        rng = np.random.default_rng(96)
+        d, panel = random_problem(rng, n=12, p=3, m=4)
+        short = ResponsePanel(panel.y[:-2])
+        resp = np.full((4, 2), 0.5)
+        with pytest.raises(BadShape):
+            call(d, short, resp, random_params(rng, 3))
+
+    @pytest.mark.parametrize("call", WIDE_BETA_CALLS.values(), ids=WIDE_BETA_CALLS.keys())
+    def test_beta_length_differs_from_p(self, call):
+        rng = np.random.default_rng(97)
+        d, panel = random_problem(rng, n=12, p=3, m=4, missing=2)
+        resp = np.full((4, 2), 0.5)
+        with pytest.raises(BadShape):
+            call(d, panel, resp, random_params(rng, 5))
+
+
+def assert_params_close(got, want, rtol=1e-9):
+    assert_allclose(
+        [got.tau1, got.eta, got.sigma2], [want.tau1, want.eta, want.sigma2], rtol=rtol
+    )
+    assert_allclose(got.beta, want.beta, rtol=rtol)
+
+
+def assert_posteriors_close(got, want, rtol=1e-9):
+    assert_allclose([q.h for q in got], [q.h for q in want], rtol=rtol)
+    assert_allclose(
+        np.array([q.post_mean for q in got]), np.array([q.post_mean for q in want]), rtol=rtol
     )
 
 
@@ -483,6 +542,57 @@ class TestFit:
             assert_allclose(
                 [q.h for q in scaled.posteriors], [q.h for q in base.posteriors], rtol=1e-9
             )
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_design_reparametrization_invariance(self, setting):
+        # X -> X A for a dense invertible A gives beta -> A^-1 beta with h,
+        # the fitted values, sigma2 and the log-likelihood unchanged: the
+        # g-prior covariance eta (X'X)^-1 moves with the design
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        options = FitOptions(tol=1e-300, max_iter=30)
+        p = data.x.shape[1]
+        a = np.eye(p) + 0.3 * np.random.default_rng(98).standard_normal((p, p))
+        base = fit(build_design(data.x), data.panel, options)
+        moved = fit(build_design(data.x @ a), data.panel, options)
+        assert moved.iterations == base.iterations
+        assert_allclose(a @ moved.params.beta, base.params.beta, rtol=1e-9)
+        assert_allclose(moved.params.sigma2, base.params.sigma2, rtol=1e-9)
+        assert_allclose(moved.loglik_trace, base.loglik_trace, rtol=1e-9)
+        assert_allclose(
+            [q.h for q in moved.posteriors], [q.h for q in base.posteriors], rtol=1e-9
+        )
+        fitted = data.x @ np.column_stack([q.post_mean for q in base.posteriors])
+        fitted_moved = data.x @ a @ np.column_stack([q.post_mean for q in moved.posteriors])
+        assert_allclose(fitted_moved, fitted, rtol=1e-9)
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_row_permutation_invariance(self, setting):
+        # permuting the rows of X, Y and the mask together changes nothing
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        options = FitOptions(tol=1e-300, max_iter=30)
+        perm = np.random.default_rng(99).permutation(data.x.shape[0])
+        base = fit(build_design(data.x), data.panel, options)
+        panel = ResponsePanel(data.panel.y[perm], mask=data.panel.mask[perm])
+        moved = fit(build_design(data.x[perm]), panel, options)
+        assert moved.iterations == base.iterations
+        assert_params_close(moved.params, base.params)
+        assert_allclose(moved.loglik_trace, base.loglik_trace, rtol=1e-9)
+        assert_posteriors_close(moved.posteriors, base.posteriors)
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_tissue_permutation_invariance_on_settings(self, setting):
+        # permuting the tissues permutes the posteriors; the params stay equal
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        options = FitOptions(tol=1e-300, max_iter=30)
+        d = build_design(data.x)
+        perm = np.random.default_rng(100).permutation(data.panel.m)
+        base = fit(d, data.panel, options)
+        panel = ResponsePanel(data.panel.y[:, perm], mask=data.panel.mask[:, perm])
+        moved = fit(d, panel, options)
+        assert moved.iterations == base.iterations
+        assert_params_close(moved.params, base.params)
+        assert_allclose(moved.loglik_trace, base.loglik_trace, rtol=1e-9)
+        assert_posteriors_close(moved.posteriors, [base.posteriors[t] for t in perm])
 
     @pytest.mark.parametrize("missing", [0, 3])
     def test_all_zero_panel_gives_null_fit(self, missing):

@@ -12,6 +12,7 @@ from ebshrink.fileio import (
     fmt,
     read_fit_json,
     read_matrix_tsv,
+    render_table,
     write_fit_json,
     write_matrix_tsv,
 )
@@ -32,6 +33,31 @@ class TestFmt:
     def test_plain_values(self):
         assert fmt(1.0) == "1"
         assert fmt(0.5) == "0.5"
+
+
+class TestRenderTable:
+    def test_floats_by_fmt_others_by_str(self):
+        text = render_table(["a", "b", "c"], [(0.1, np.float64(2.0), 3), ("NA", True, -0.0)], ",")
+        assert text == "a,b,c\n0.10000000000000001,2,3\nNA,True,-0\n"
+
+    def test_header_only(self):
+        assert render_table(["#id", "z", "p"], []) == "#id\tz\tp\n"
+
+    @pytest.mark.parametrize("cell", ["Brain\tCortex", "two\nlines", "carriage\rreturn"])
+    def test_rejects_separator_and_line_breaks(self, cell):
+        with pytest.raises(ValueError, match=r"line 3, field 2"):
+            render_table(["id", "t"], [("r1", 1.0), ("r2", cell)])
+
+    def test_rejects_bad_header_cell(self):
+        with pytest.raises(ValueError, match=r"'Brain, Cortex' \(line 1, field 1\)"):
+            render_table(["Brain, Cortex", "lung"], [(1.0, 2.0)], ",")
+
+    def test_rejects_ragged_row(self):
+        with pytest.raises(ValueError, match="line 2 has 2 cells, header 3"):
+            render_table(["a", "b", "c"], [(1.0, 2.0)])
+
+    def test_tab_is_legal_in_csv(self):
+        assert render_table(["a\tb"], [], ",") == "a\tb\n"
 
 
 class TestReadMatrixTsv:
@@ -129,6 +155,21 @@ class TestWriteMatrixTsv:
         write_matrix_tsv(p, values, col_ids=["t1", "t2", "t3"], row_ids=row_ids,
                          na_mask=np.isnan(values))
         assert p.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "col_ids, row_ids", [(["a\tb", "c"], None), (["a", "b"], ["r\n1"]), (["a", "b", "c"], None)]
+    )
+    def test_bad_identifier_writes_nothing(self, tmp_path, col_ids, row_ids):
+        p = tmp_path / "m.tsv"
+        with pytest.raises(ValueError):
+            write_matrix_tsv(p, np.ones((1, 2)), col_ids=col_ids, row_ids=row_ids)
+        assert not p.exists()
+
+    def test_mask_shape_checked(self, tmp_path):
+        p = tmp_path / "y.tsv"
+        with pytest.raises(ValueError, match="na_mask shape"):
+            write_matrix_tsv(p, np.ones((2, 2)), na_mask=np.zeros((1, 2), dtype=bool))
+        assert not p.exists()
 
     def test_default_column_ids(self, tmp_path):
         p = tmp_path / "m.tsv"

@@ -1,5 +1,7 @@
 """Simulation designs, metrics, and the replication/risk drivers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from ebshrink.simulate import (
     Setting,
     SimConfig,
     SimReport,
+    SimRow,
     auc,
     mc_bayes_risk,
     model_prior_params,
@@ -50,6 +53,11 @@ class TestSimConfig:
             SimConfig.for_setting(3, missing_frac=0.9)  # too few observed
         with pytest.raises(BadConfig):
             SimConfig.for_setting(1, external_x=np.zeros((5, 30)))
+
+    def test_replace_validates(self):
+        # every construction is checked, not only the for_setting path
+        with pytest.raises(BadConfig):
+            dataclasses.replace(SimConfig.for_setting(1), rho=1.5)
 
     def test_external_x_shape_checked(self):
         with pytest.raises(BadConfig):
@@ -185,6 +193,26 @@ class TestRunReplications:
         text = out.read_text()
         assert text.splitlines()[0] == SimReport.CSV_HEADER
         assert len(text.splitlines()) == 2
+
+    def test_exact_bytes(self, tmp_path):
+        # a run with every replication failed averages to NaN, written "nan"
+        report = SimReport(
+            rows=(
+                SimRow(setting=3, rho=0.5, beta_s=0.1, reps=50, mse_ols=1 / 3,
+                       mse_proposed=2e-7, auc=0.75, failed=2),
+                SimRow(setting=2, rho=0.0, beta_s=1e22, reps=4, mse_ols=float("nan"),
+                       mse_proposed=float("nan"), auc=float("nan"), failed=4),
+            )
+        )
+        expected = (
+            "setting,rho,beta_s,reps,mse_ols,mse_proposed,auc,failed\n"
+            "3,0.5,0.10000000000000001,50,0.33333333333333331,1.9999999999999999e-07,0.75,2\n"
+            "2,0,1e+22,4,nan,nan,nan,4\n"
+        )
+        assert report.to_csv() == expected
+        out = tmp_path / "report.csv"
+        report.write(out)
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("EBSHRINK_THREADS", "1")
