@@ -15,9 +15,9 @@ from .crossval import kfold_cv, predict, stouffer_combine
 from .em import FitOptions, ResponsePanel, fit
 from .errors import EbshrinkError, ParseError
 from .fileio import (
-    fmt,
     read_fit_json,
     read_matrix_tsv,
+    render_table,
     write_fit_json,
     write_matrix_tsv,
 )
@@ -84,7 +84,7 @@ def _load_design_panel(x_path, y_path):
         raise ParseError("row identifiers disagree between covariates and responses")
     design = build_design(x_file.values)
     panel = ResponsePanel(
-        y=y_file.values, mask=~y_file.na_mask, tissue_names=y_file.col_ids
+        y=y_file.values, mask=~np.isnan(y_file.values), tissue_names=y_file.col_ids
     )
     return design, panel
 
@@ -118,15 +118,17 @@ def _cmd_simulate(args):
     report.write(args.out)
     row = report.rows[0]
     print(
-        f"setting {row.setting} rho={fmt(row.rho)} beta_s={fmt(row.beta_s)}: "
-        f"mse_ols={fmt(row.mse_ols)} mse_proposed={fmt(row.mse_proposed)} "
-        f"auc={fmt(row.auc)} failed={row.failed}; wrote {args.out}"
+        f"setting {row.setting} rho={row.rho} beta_s={row.beta_s}: "
+        f"mse_ols={row.mse_ols} mse_proposed={row.mse_proposed} "
+        f"auc={row.auc} failed={row.failed}; wrote {args.out}"
     )
     return 0
 
 
 def _cmd_cv(args):
     design, panel = _load_design_panel(args.x, args.y)
+    # a tissue name the CSV report cannot hold fails here, before k fits
+    render_table(["tissue"], ([name] for name in panel.tissue_names), ",")
     report = kfold_cv(design, panel, k=args.folds, seed=args.seed)
     report.write(args.out)
     print(f"wrote {len(report.rows)} tissue rows to {args.out}")
@@ -141,7 +143,7 @@ def _cmd_screen(args):
     keep = combined[:, 1] < args.alpha
     kept_ids = [rid for rid, k in zip(row_ids, keep) if k]
     write_matrix_tsv(args.out, combined[keep], col_ids=["z", "p"], row_ids=kept_ids)
-    print(f"kept {len(kept_ids)} of {n_rows} rows at alpha={fmt(args.alpha)}")
+    print(f"kept {len(kept_ids)} of {n_rows} rows at alpha={args.alpha}")
     return 0
 
 

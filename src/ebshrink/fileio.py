@@ -1,14 +1,18 @@
 """Delimited tables, tab-separated matrix files and the fit report JSON.
 
 :func:`render_table` renders every delimited file the package writes:
-numbers at 17 significant digits, so round-trips are bitwise exact, and a
-cell holding the separator or a line break is an error, not a shifted field.
+floats by ``repr``, the shortest string that reads back bitwise, NaN as
+``NA``, and a cell holding the separator or a line break is an error, not
+a shifted field.  The fit report goes through the standard ``json``
+encoder, which spells floats the same way.
 
 TSV layout: the first row holds column identifiers; when its first cell is
 ``#id`` every data row additionally starts with a row identifier.  Cells
-are decimal floats; ``NA`` marks a missing response where permitted.
+are decimal floats; ``NA`` marks a missing response where permitted and
+reads back as NaN.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -19,21 +23,24 @@ from .errors import NaInCovariates, NonFinite, ParseError
 from .posterior import PriorParams, TissuePosterior
 
 
-def fmt(value):
-    """17-significant-digit decimal; round-trips any float64 exactly."""
-    return format(float(value), ".17g")
+def _cell(c):
+    if isinstance(c, float):  # numpy's float64 included; NaN is unequal to itself
+        return float.__repr__(c) if c == c else "NA"
+    return str(c)
 
 
 def render_table(header, rows, sep="\t"):
     """Text of a delimited table, one line per row, each ending in a newline.
 
-    Float cells are written by :func:`fmt`, every other cell by ``str``.  A
-    row whose width differs from the header's, or a cell holding ``sep``,
-    ``\\n`` or ``\\r``, raises ValueError naming its 1-based line (and field).
+    Float cells are written by ``repr`` (NaN as ``NA``), every other cell by
+    ``str``.  A row whose width differs from the header's, or a cell holding
+    ``sep``, ``\\n`` or ``\\r``, raises ValueError naming its 1-based line
+    (and field).  ``rows`` may be any iterable; it is consumed one row at a
+    time.
     """
     lines = []
-    for row in (header, *rows):
-        cells = [fmt(c) if isinstance(c, float) else str(c) for c in row]
+    for row in itertools.chain([header], rows):
+        cells = [_cell(c) for c in row]
         if len(cells) != len(header):
             raise ValueError(f"line {len(lines) + 1} has {len(cells)} cells, header {len(header)}")
         line = sep.join(cells)
@@ -56,12 +63,11 @@ def write_text(path, text):
 
 @dataclass(frozen=True)
 class MatrixFile:
-    """Parsed TSV matrix: values, identifiers, and the NA positions."""
+    """Parsed TSV matrix: values and identifiers."""
 
     values: np.ndarray       # (r, c), NaN where NA
     row_ids: list            # list of str, or None without a #id column
     col_ids: list            # list of str
-    na_mask: np.ndarray      # (r, c) bool
 
 
 def read_matrix_tsv(path, allow_na=False):
@@ -103,7 +109,6 @@ def read_matrix_tsv(path, allow_na=False):
     width = len(header)
     row_ids = [] if has_ids else None
     values = np.empty((len(body), len(col_ids)))
-    na_mask = np.zeros((len(body), len(col_ids)), dtype=bool)
     for i, row in enumerate(body):
         line_no = i + 2
         if len(row) != width:
@@ -120,7 +125,6 @@ def read_matrix_tsv(path, allow_na=False):
                         f"{path}: NA not allowed here", row=line_no, col=c + 1
                     )
                 values[i, c] = np.nan
-                na_mask[i, c] = True
                 continue
             try:
                 v = float(cell)
@@ -135,63 +139,31 @@ def read_matrix_tsv(path, allow_na=False):
                     f"{path}: non-finite value {cell!r}", row=line_no, col=c + 1
                 )
             values[i, c] = v
-    return MatrixFile(values=values, row_ids=row_ids, col_ids=list(col_ids), na_mask=na_mask)
+    return MatrixFile(values=values, row_ids=row_ids, col_ids=list(col_ids))
 
 
-def write_matrix_tsv(path, values, col_ids=None, row_ids=None, na_mask=None):
-    """Write a matrix as TSV; a #id column appears only when row_ids given."""
+def write_matrix_tsv(path, values, col_ids=None, row_ids=None):
+    """Write a matrix as TSV, NaN as ``NA``; a #id column only when row_ids given."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"matrix must be 2-d, got shape {values.shape}")
     if col_ids is None:
         col_ids = [f"col{j + 1}" for j in range(values.shape[1])]
     header = [str(s) for s in col_ids]
-    rows = values.tolist()
-    if na_mask is not None:
-        if np.shape(na_mask) != values.shape:
-            raise ValueError(f"na_mask shape {np.shape(na_mask)} != matrix shape {values.shape}")
-        for i, j in zip(*np.nonzero(na_mask)):
-            rows[i][j] = "NA"
+    rows = (row.tolist() for row in values)
     if row_ids is not None:
+        if len(row_ids) != len(values):
+            raise ValueError(f"{len(row_ids)} row ids for {len(values)} rows")
         header = ["#id", *header]
-        rows = [[str(row_ids[i]), *row] for i, row in enumerate(rows)]
+        rows = ([str(rid), *row] for rid, row in zip(row_ids, rows))
     write_text(path, render_table(header, rows))
 
 
-def _json_17g(obj, out):
-    """Serialize with floats at 17 significant digits, keys in given order."""
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _json_17g(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(", ")
-            _json_17g(val, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def write_fit_json(path, result, tissue_names):
-    """Persist a FitResult; see read_fit_json for the inverse."""
+    """Persist a FitResult; see read_fit_json for the inverse.
+
+    A non-finite number raises ValueError before the file is opened.
+    """
     if len(tissue_names) != len(result.posteriors):
         raise ValueError(
             f"{len(tissue_names)} names for {len(result.posteriors)} posteriors"
@@ -217,9 +189,7 @@ def write_fit_json(path, result, tissue_names):
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    out = []
-    _json_17g(doc, out)
-    write_text(path, "".join(out) + "\n")
+    write_text(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
 def read_fit_json(path):
@@ -238,11 +208,13 @@ def read_fit_json(path):
     Raises
     ------
     ParseError
-        Malformed JSON, missing or mistyped fields, an h outside [0, 1], a
-        post_mean whose length differs from beta's, or an iteration count
-        that differs from the length of the log-likelihood trace.
+        Malformed JSON, missing or mistyped fields (``iterations`` must be
+        a JSON integer, ``converged`` a JSON boolean), no posteriors, an h
+        outside [0, 1], a post_mean whose length differs from beta's, or an
+        iteration count that differs from the length of the trace.
     NonFinite
-        Non-finite parameters, posterior summaries or log-likelihoods.
+        Non-finite parameters, posterior summaries or log-likelihoods, or a
+        conditional mean post_mean / h that overflows.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -252,6 +224,8 @@ def read_fit_json(path):
         if not np.all(np.isfinite(np.append(beta, (tau1, eta, sigma2)))):
             raise NonFinite(f"{path}: non-finite parameters")
         params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
+        if not doc["posteriors"]:
+            raise ParseError(f"{path}: no posteriors")
         names = []
         posteriors = []
         for entry in doc["posteriors"]:
@@ -270,7 +244,10 @@ def read_fit_json(path):
             log_odds = float(entry["log_odds"])
             if not np.all(np.isfinite(np.append(post_mean, (log_bf, log_odds)))):
                 raise NonFinite(f"{path}: tissue {name!r} has a non-finite posterior summary")
-            cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
+            with np.errstate(over="ignore"):
+                cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
+            if not np.all(np.isfinite(cond)):
+                raise NonFinite(f"{path}: tissue {name!r} has post_mean / h beyond float range")
             posteriors.append(
                 TissuePosterior(
                     h=h,
@@ -283,7 +260,11 @@ def read_fit_json(path):
         trace = np.asarray(doc["loglik_trace"], dtype=np.float64)
         if not np.all(np.isfinite(trace)):
             raise NonFinite(f"{path}: non-finite log-likelihood trace")
-        iterations = int(doc["iterations"])
+        iterations, converged = doc["iterations"], doc["converged"]
+        if type(iterations) is not int:
+            raise ParseError(f"{path}: iterations = {iterations!r} is not a JSON integer")
+        if type(converged) is not bool:
+            raise ParseError(f"{path}: converged = {converged!r} is not a JSON boolean")
         if trace.shape != (iterations,):
             raise ParseError(
                 f"{path}: iterations = {iterations} but loglik_trace has shape {trace.shape}"
@@ -293,7 +274,7 @@ def read_fit_json(path):
             posteriors=posteriors,
             loglik_trace=trace,
             iterations=iterations,
-            converged=bool(doc["converged"]),
+            converged=converged,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit report ({exc})") from exc

@@ -343,7 +343,6 @@ class TestCriterion9:
             y_path,
             data.panel.y,
             col_ids=list(data.panel.tissue_names),
-            na_mask=~data.panel.mask,
         )
         z_path = tmp_path / "z.tsv"
         write_matrix_tsv(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ebshrink.crossval
 from ebshrink.cli import cli_main
 from ebshrink.em import ResponsePanel, fit
 from ebshrink.fileio import read_matrix_tsv, write_fit_json, write_matrix_tsv
@@ -24,7 +25,6 @@ def sim_files(tmp_path):
         y_path,
         data.panel.y,
         col_ids=list(data.panel.tissue_names),
-        na_mask=~data.panel.mask,
     )
     return str(x_path), str(y_path)
 
@@ -135,16 +135,16 @@ class TestScreen:
                 ["t1", "t2", "t3", "t4"],
                 ["strong", "null", "neg"],
                 "0.05",
-                "#id\tz\tp\nstrong\t2\t0.045500263896358438\n"
-                "neg\t-2.875\t0.0040402749798920043\n",
+                "#id\tz\tp\nstrong\t2.0\t0.04550026389635844\n"
+                "neg\t-2.875\t0.004040274979892004\n",
             ),
             (
                 [[0.1, 0.2], [5.0, -0.3], [-4.0, -4.0]],
                 ["a", "b"],
                 None,
                 "0.01",
-                "#id\tz\tp\nrow2\t3.3234018715767735\t0.00088926703213245437\n"
-                "row3\t-5.6568542494923797\t1.541725790028008e-08\n",
+                "#id\tz\tp\nrow2\t3.3234018715767735\t0.0008892670321324544\n"
+                "row3\t-5.65685424949238\t1.541725790028008e-08\n",
             ),
         ],
         ids=["row_ids", "generated_ids"],
@@ -161,12 +161,17 @@ class TestScreen:
 class TestCellsHoldingTheSeparator:
     # a name holding the file's separator or a line break would shift every
     # later field of its line; the command fails before any file is created
-    def test_cv_rejects_comma_in_tissue_name(self, sim_files, tmp_path, capsys):
+    def test_cv_rejects_comma_in_tissue_name(self, sim_files, tmp_path, capsys, monkeypatch):
         x_path, y_path = sim_files
         y_file = read_matrix_tsv(y_path, allow_na=True)
         names = ["Brain, Cortex"] + y_file.col_ids[1:]
         y_named = tmp_path / "y_named.tsv"
-        write_matrix_tsv(y_named, y_file.values, col_ids=names, na_mask=y_file.na_mask)
+        write_matrix_tsv(y_named, y_file.values, col_ids=names)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the name is rejected before any fold is fitted")
+
+        monkeypatch.setattr(ebshrink.crossval, "fit", no_fit)
         out = tmp_path / "cv.csv"
         code = cli_main(
             ["cv", "--x", x_path, "--y", str(y_named), "--folds", "4", "--out", str(out)]
@@ -180,7 +185,7 @@ class TestCellsHoldingTheSeparator:
         x_file = read_matrix_tsv(x_path)
         y_file = read_matrix_tsv(y_path, allow_na=True)
         names = ["Brain\tCortex"] + y_file.col_ids[1:]
-        panel = ResponsePanel(y_file.values, mask=~y_file.na_mask, tissue_names=names)
+        panel = ResponsePanel(y_file.values, mask=~np.isnan(y_file.values), tissue_names=names)
         fit_json = tmp_path / "fit.json"
         write_fit_json(fit_json, fit(build_design(x_file.values), panel), panel.tissue_names)
         out = tmp_path / "pred.tsv"

@@ -133,8 +133,8 @@ class TestKfoldCv:
         )
         expected = (
             "tissue,n_obs,pmse,r2\n"
-            "Brain_Cortex,40,85.791771627421923,0.10000000000000001\n"
-            "liver,7,1e-300,1\n"
+            "Brain_Cortex,40,85.79177162742192,0.1\n"
+            "liver,7,1e-300,1.0\n"
         )
         assert report.to_csv() == expected
         out = tmp_path / "cv.csv"

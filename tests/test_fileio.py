@@ -4,12 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ebshrink.crossval import predict
-from ebshrink.em import ResponsePanel, fit
+from ebshrink.em import FitResult, ResponsePanel, fit
 from ebshrink.errors import NaInCovariates, NonFinite, ParseError
 from ebshrink.fileio import (
-    fmt,
     read_fit_json,
     read_matrix_tsv,
     render_table,
@@ -17,6 +19,7 @@ from ebshrink.fileio import (
     write_matrix_tsv,
 )
 from ebshrink.linalg import build_design
+from ebshrink.posterior import PriorParams, TissuePosterior
 
 
 def write_text(path, text):
@@ -24,21 +27,10 @@ def write_text(path, text):
     return str(path)
 
 
-class TestFmt:
-    def test_round_trips_doubles(self):
-        rng = np.random.default_rng(90)
-        for v in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
-            assert float(fmt(v)) == v
-
-    def test_plain_values(self):
-        assert fmt(1.0) == "1"
-        assert fmt(0.5) == "0.5"
-
-
 class TestRenderTable:
     def test_floats_by_fmt_others_by_str(self):
         text = render_table(["a", "b", "c"], [(0.1, np.float64(2.0), 3), ("NA", True, -0.0)], ",")
-        assert text == "a,b,c\n0.10000000000000001,2,3\nNA,True,-0\n"
+        assert text == "a,b,c\n0.1,2.0,3\nNA,True,-0.0\n"
 
     def test_header_only(self):
         assert render_table(["#id", "z", "p"], []) == "#id\tz\tp\n"
@@ -67,7 +59,7 @@ class TestReadMatrixTsv:
         assert mf.col_ids == ["snp1"]
         assert mf.row_ids is None
         assert np.array_equal(mf.values, np.array([[1.0], [3.0]]))
-        assert not mf.na_mask.any()
+        assert not np.isnan(mf.values).any()
 
     def test_row_id_column(self, tmp_path):
         p = write_text(
@@ -84,7 +76,7 @@ class TestReadMatrixTsv:
             read_matrix_tsv(p)
         mf = read_matrix_tsv(p, allow_na=True)
         assert np.isnan(mf.values[0, 1])
-        assert mf.na_mask[0, 1] and mf.na_mask.sum() == 1
+        assert np.isnan(mf.values).sum() == 1
 
     def test_overflow_is_a_parse_error(self, tmp_path):
         p = write_text(tmp_path / "x.tsv", "a\n1e999\n")
@@ -133,27 +125,26 @@ class TestWriteMatrixTsv:
         values = np.array([[1.0, np.nan], [3.0, 4.0]])
         mask = np.isnan(values)
         p = tmp_path / "y.tsv"
-        write_matrix_tsv(p, values, col_ids=["t1", "t2"], na_mask=mask)
+        write_matrix_tsv(p, values, col_ids=["t1", "t2"])
         assert "NA" in p.read_text()
         back = read_matrix_tsv(str(p), allow_na=True)
-        assert np.array_equal(back.na_mask, mask)
+        assert np.array_equal(np.isnan(back.values), mask)
         assert np.array_equal(back.values[~mask], values[~mask])
 
     @pytest.mark.parametrize(
         "row_ids, expected",
         [
-            (None, "t1\tt2\tt3\n1.5\tNA\t-1.9999999999999999e-07\n"
-                   "NA\t0.10000000000000001\t30000000000\n"),
-            (["r1", "r2"], "#id\tt1\tt2\tt3\nr1\t1.5\tNA\t-1.9999999999999999e-07\n"
-                           "r2\tNA\t0.10000000000000001\t30000000000\n"),
+            (None, "t1\tt2\tt3\n1.5\tNA\t-2e-07\n"
+                   "NA\t0.1\t30000000000.0\n"),
+            (["r1", "r2"], "#id\tt1\tt2\tt3\nr1\t1.5\tNA\t-2e-07\n"
+                           "r2\tNA\t0.1\t30000000000.0\n"),
         ],
         ids=["plain", "row_ids"],
     )
     def test_exact_bytes(self, tmp_path, row_ids, expected):
         values = np.array([[1.5, np.nan, -2e-7], [np.nan, 0.1, 3e10]])
         p = tmp_path / "y.tsv"
-        write_matrix_tsv(p, values, col_ids=["t1", "t2", "t3"], row_ids=row_ids,
-                         na_mask=np.isnan(values))
+        write_matrix_tsv(p, values, col_ids=["t1", "t2", "t3"], row_ids=row_ids)
         assert p.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize(
@@ -165,10 +156,10 @@ class TestWriteMatrixTsv:
             write_matrix_tsv(p, np.ones((1, 2)), col_ids=col_ids, row_ids=row_ids)
         assert not p.exists()
 
-    def test_mask_shape_checked(self, tmp_path):
-        p = tmp_path / "y.tsv"
-        with pytest.raises(ValueError, match="na_mask shape"):
-            write_matrix_tsv(p, np.ones((2, 2)), na_mask=np.zeros((1, 2), dtype=bool))
+    def test_row_id_count_checked(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        with pytest.raises(ValueError, match="1 row ids for 2 rows"):
+            write_matrix_tsv(p, np.ones((2, 2)), row_ids=["only"])
         assert not p.exists()
 
     def test_default_column_ids(self, tmp_path):
@@ -250,9 +241,16 @@ class TestFitJson:
                 r'"iterations": (\d+)', lambda mt: f'"iterations": {int(mt[1]) + 1}', text),
              ParseError),
             (lambda text: re.sub(r'"beta": \[[^,\]]*', '"beta": [NaN', text), NonFinite),
+            (lambda text: re.sub(r'"converged": \w+', '"converged": "no"', text), ParseError),
+            (lambda text: re.sub(r'"iterations": (\d+)', r'"iterations": \1.9', text), ParseError),
+            (lambda text: re.sub(r'"posteriors": \[.*?\], "loglik_trace"',
+                                 '"posteriors": [], "loglik_trace"', text),
+             ParseError),
+            (lambda text: re.sub(r'"h": [^,]*', '"h": 5e-324', text, count=1), NonFinite),
         ],
         ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
-             "nan_trace", "iterations_mismatch", "nan_beta"],
+             "nan_trace", "iterations_mismatch", "nan_beta", "string_converged",
+             "fractional_iterations", "no_posteriors", "cond_mean_overflow"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()
@@ -263,3 +261,70 @@ class TestFitJson:
         assert bad != text
         with pytest.raises(error, match="bad.json"):
             read_fit_json(write_text(tmp_path / "bad.json", bad))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# finite doubles plus the edges a decimal spelling can get wrong
+EDGES = [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+round_trip = settings(derandomize=True, deadline=None, database=None)
+
+
+class TestRoundTripProperties:
+    @round_trip
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                             elements=finite | st.just(np.nan)))
+    def test_matrix_tsv_is_bitwise(self, tmp_path_factory, values):
+        p = tmp_path_factory.mktemp("tsv") / "m.tsv"
+        write_matrix_tsv(p, values)
+        back = read_matrix_tsv(str(p), allow_na=True).values
+        nan = np.isnan(values)
+        assert np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(bits(back[~nan]), bits(values[~nan]))
+
+    @round_trip
+    @given(data=st.data(), p=st.integers(1, 4), m=st.integers(1, 3))
+    def test_fit_json_is_bitwise(self, tmp_path_factory, data, p, m):
+        vec = lambda k: np.array(data.draw(st.lists(finite, min_size=k, max_size=k)))
+        params = PriorParams(
+            tau1=data.draw(st.floats(0.0, 1.0)),
+            beta=vec(p),
+            eta=data.draw(st.floats(0.0, 1e308)),
+            sigma2=data.draw(st.floats(0.0, 1e308, exclude_min=True)),
+        )
+        posteriors = [
+            TissuePosterior(h=data.draw(st.floats(0.0, 1.0)), post_mean=vec(p),
+                            cond_mean_active=np.zeros(p), log_bf=data.draw(finite),
+                            log_odds=data.draw(finite))
+            for _ in range(m)
+        ]
+        # the reader rebuilds post_mean / h and rejects an overflow (tested above)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assume(all(np.all(np.isfinite(tp.post_mean / tp.h)) for tp in posteriors if tp.h))
+        names = data.draw(st.lists(st.text(), min_size=m, max_size=m))
+        trace = vec(data.draw(st.integers(0, 4)))
+        result = FitResult(params=params, posteriors=posteriors, loglik_trace=trace,
+                           iterations=len(trace), converged=data.draw(st.booleans()))
+        path = tmp_path_factory.mktemp("fit") / "fit.json"
+        write_fit_json(path, result, names)
+        back, back_names = read_fit_json(str(path))
+        assert back_names == names
+        assert (back.iterations, back.converged) == (result.iterations, result.converged)
+        for attr in ("tau1", "beta", "eta", "sigma2"):
+            assert np.array_equal(bits(getattr(back.params, attr)), bits(getattr(params, attr)))
+        assert np.array_equal(bits(back.loglik_trace), bits(trace))
+        for a, b in zip(back.posteriors, posteriors):
+            for attr in ("h", "post_mean", "log_bf", "log_odds"):
+                assert np.array_equal(bits(getattr(a, attr)), bits(getattr(b, attr)))
+
+    def test_non_finite_report_writes_nothing(self, tmp_path):
+        _, panel, res = TestFitJson().fitted()
+        res.loglik_trace[-1] = np.nan
+        p = tmp_path / "fit.json"
+        with pytest.raises(ValueError):
+            write_fit_json(p, res, panel.tissue_names)
+        assert not p.exists()

@@ -195,7 +195,7 @@ class TestRunReplications:
         assert len(text.splitlines()) == 2
 
     def test_exact_bytes(self, tmp_path):
-        # a run with every replication failed averages to NaN, written "nan"
+        # a run with every replication failed averages to NaN, written "NA"
         report = SimReport(
             rows=(
                 SimRow(setting=3, rho=0.5, beta_s=0.1, reps=50, mse_ols=1 / 3,
@@ -206,8 +206,8 @@ class TestRunReplications:
         )
         expected = (
             "setting,rho,beta_s,reps,mse_ols,mse_proposed,auc,failed\n"
-            "3,0.5,0.10000000000000001,50,0.33333333333333331,1.9999999999999999e-07,0.75,2\n"
-            "2,0,1e+22,4,nan,nan,nan,4\n"
+            "3,0.5,0.1,50,0.3333333333333333,2e-07,0.75,2\n"
+            "2,0.0,1e+22,4,NA,NA,NA,4\n"
         )
         assert report.to_csv() == expected
         out = tmp_path / "report.csv"
