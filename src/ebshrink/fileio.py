@@ -192,6 +192,17 @@ def write_fit_json(path, result, tissue_names):
     write_text(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
+def _numbers(values, path, field):
+    """A JSON list of finite numbers as a float64 array, else ParseError or NonFinite."""
+    # exact types: a string or a boolean (bool subclasses int) is not a number
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ParseError(f"{path}: {field}: expected JSON numbers")
+    out = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise NonFinite(f"{path}: {field} is not finite")
+    return out
+
+
 def read_fit_json(path):
     """Load a fit report.
 
@@ -208,10 +219,12 @@ def read_fit_json(path):
     Raises
     ------
     ParseError
-        Malformed JSON, missing or mistyped fields (``iterations`` must be
-        a JSON integer, ``converged`` a JSON boolean), no posteriors, an h
-        outside [0, 1], a post_mean whose length differs from beta's, or an
-        iteration count that differs from the length of the trace.
+        Malformed JSON, missing or mistyped fields (numbers and vector
+        entries must be JSON numbers, ``tissue`` a JSON string,
+        ``iterations`` a JSON integer, ``converged`` a JSON boolean), no
+        posteriors, an h outside [0, 1], a post_mean whose length differs
+        from beta's, or an iteration count that differs from the length of
+        the trace.
     NonFinite
         Non-finite parameters, posterior summaries or log-likelihoods, or a
         conditional mean post_mean / h that overflows.
@@ -219,47 +232,38 @@ def read_fit_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        beta = np.asarray(doc["params"]["beta"], dtype=np.float64)
-        tau1, eta, sigma2 = (float(doc["params"][k]) for k in ("tau1", "eta", "sigma2"))
-        if not np.all(np.isfinite(np.append(beta, (tau1, eta, sigma2)))):
-            raise NonFinite(f"{path}: non-finite parameters")
+        fields = doc["params"]
+        tau1, eta, sigma2 = _numbers(
+            [fields["tau1"], fields["eta"], fields["sigma2"]], path, "tau1, eta or sigma2"
+        ).tolist()
+        beta = _numbers(fields["beta"], path, "beta")
         params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
         if not doc["posteriors"]:
             raise ParseError(f"{path}: no posteriors")
         names = []
         posteriors = []
         for entry in doc["posteriors"]:
-            name = str(entry["tissue"])
+            name = entry["tissue"]
+            if type(name) is not str:
+                raise ParseError(f"{path}: tissue = {name!r} is not a JSON string")
             names.append(name)
-            h = float(entry["h"])
+            h, log_bf, log_odds = _numbers(
+                [entry["h"], entry["log_bf"], entry["log_odds"]], path, f"tissue {name!r} summary"
+            ).tolist()
             if not 0.0 <= h <= 1.0:
                 raise ParseError(f"{path}: tissue {name!r} has h = {h!r} outside [0, 1]")
-            post_mean = np.asarray(entry["post_mean"], dtype=np.float64)
+            post_mean = _numbers(entry["post_mean"], path, f"tissue {name!r} post_mean")
             if post_mean.shape != params.beta.shape:
                 raise ParseError(
                     f"{path}: tissue {name!r} has post_mean of shape {post_mean.shape}, "
                     f"beta has {params.beta.shape}"
                 )
-            log_bf = float(entry["log_bf"])
-            log_odds = float(entry["log_odds"])
-            if not np.all(np.isfinite(np.append(post_mean, (log_bf, log_odds)))):
-                raise NonFinite(f"{path}: tissue {name!r} has a non-finite posterior summary")
             with np.errstate(over="ignore"):
                 cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
             if not np.all(np.isfinite(cond)):
                 raise NonFinite(f"{path}: tissue {name!r} has post_mean / h beyond float range")
-            posteriors.append(
-                TissuePosterior(
-                    h=h,
-                    post_mean=post_mean,
-                    cond_mean_active=cond,
-                    log_bf=log_bf,
-                    log_odds=log_odds,
-                )
-            )
-        trace = np.asarray(doc["loglik_trace"], dtype=np.float64)
-        if not np.all(np.isfinite(trace)):
-            raise NonFinite(f"{path}: non-finite log-likelihood trace")
+            posteriors.append(TissuePosterior(h, post_mean, cond, log_bf, log_odds))
+        trace = _numbers(doc["loglik_trace"], path, "loglik_trace")
         iterations, converged = doc["iterations"], doc["converged"]
         if type(iterations) is not int:
             raise ParseError(f"{path}: iterations = {iterations!r} is not a JSON integer")
@@ -276,6 +280,6 @@ def read_fit_json(path):
             iterations=iterations,
             converged=converged,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed fit report ({exc})") from exc
     return result, names

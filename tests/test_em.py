@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ebshrink import kernels
+from ebshrink import em, kernels
 from ebshrink.crossval import kfold_cv
 from ebshrink.em import (
     GRAM_BLOCK_BYTES,
@@ -357,9 +357,11 @@ class TestMStepMasked:
             assert_allclose(new_m.sigma2, new_c.sigma2, rtol=1e-10)
             assert_allclose(new_m.eta, new_c.eta, rtol=1e-10)
 
-    def test_zero_active_mass_keeps_beta(self):
+    @pytest.mark.parametrize("missing", [0, 2])
+    def test_zero_active_mass_keeps_beta(self, missing):
+        # one zero-mass rule on complete and masked panels alike
         rng = np.random.default_rng(79)
-        d, panel = random_problem(rng, n=10, p=2, m=3, missing=2)
+        d, panel = random_problem(rng, n=10, p=2, m=3, missing=missing)
         resp = np.column_stack([np.ones(3), np.zeros(3)])
         current = random_params(rng, 2)
         new = m_step_masked(d, panel, resp, current)
@@ -403,6 +405,32 @@ class TestInitParams:
 
 
 class TestFit:
+    def test_complete_panel_never_takes_the_closed_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fit called the closed-form M-step")
+
+        monkeypatch.setattr(em, "_m_step_complete_core", refuse)
+        rng = np.random.default_rng(83)
+        d, panel = random_problem(rng, n=20, p=3, m=8)
+        assert fit(d, panel).iterations >= 2
+
+    @pytest.mark.parametrize("setting", [1, 2])
+    def test_complete_fit_is_closed_form_em(self, setting):
+        # k iterations of fit equal k closed-form EM steps from the public API
+        # (k short of the iterations at which tol=1e-300 sees a zero change)
+        k = 5
+        for seed in range(5):
+            data = simulate_setting(SimConfig.for_setting(setting, seed=seed))
+            d = build_design(data.x)
+            res = fit(d, data.panel, FitOptions(tol=1e-300, max_iter=k + 1))
+            assert res.iterations == k + 1
+            params = init_params(d, data.panel)
+            for _ in range(k):
+                resp, _ = e_step(d, data.panel, params)
+                params = m_step_complete(d, data.panel, resp)
+            for name in ("tau1", "beta", "eta", "sigma2"):
+                assert_allclose(getattr(res.params, name), getattr(params, name), rtol=1e-9)
+
     def test_trace_monotone_complete(self):
         rng = np.random.default_rng(83)
         d, panel = random_problem(rng, n=20, p=3, m=8)
@@ -612,7 +640,7 @@ class TestFit:
         assert res.params.sigma2 == tiny
         assert res.params.eta == 1e-12 * tiny
         assert res.params.tau1 == pytest.approx(0.5, abs=1e-9)
-        # the complete (ref) and masked paths agree
+        # the complete (ref) and masked panels agree
         assert res.params.tau1 == pytest.approx(ref.params.tau1, rel=1e-9)
         assert_allclose([q.h for q in res.posteriors], [q.h for q in ref.posteriors], rtol=1e-9)
 

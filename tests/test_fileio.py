@@ -247,10 +247,21 @@ class TestFitJson:
                                  '"posteriors": [], "loglik_trace"', text),
              ParseError),
             (lambda text: re.sub(r'"h": [^,]*', '"h": 5e-324', text, count=1), NonFinite),
+            # a number spelled as a string or a boolean is a type error, not a value
+            (lambda text: re.sub(r'"h": ([^,]*)', r'"h": "\1"', text, count=1), ParseError),
+            (lambda text: re.sub(r'"h": [^,]*', '"h": true', text, count=1), ParseError),
+            (lambda text: re.sub(r'"tau1": ([^,]*)', r'"tau1": "\1"', text), ParseError),
+            (lambda text: quote_entries("beta", text), ParseError),
+            (lambda text: quote_entries("loglik_trace", text), ParseError),
+            (lambda text: re.sub(r'"tissue": "[^"]*"', '"tissue": 7', text, count=1), ParseError),
+            (lambda text: re.sub(r'"sigma2": [^}]*', '"sigma2": 1' + "0" * 400, text),
+             ParseError),
         ],
         ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
              "nan_trace", "iterations_mismatch", "nan_beta", "string_converged",
-             "fractional_iterations", "no_posteriors", "cond_mean_overflow"],
+             "fractional_iterations", "no_posteriors", "cond_mean_overflow",
+             "string_h", "boolean_h", "string_tau1", "string_beta", "string_trace",
+             "integer_tissue", "integer_beyond_float"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()
@@ -261,6 +272,13 @@ class TestFitJson:
         assert bad != text
         with pytest.raises(error, match="bad.json"):
             read_fit_json(write_text(tmp_path / "bad.json", bad))
+
+
+def quote_entries(field, text):
+    """The report text with every entry of the list ``field`` in quotes."""
+    def quoted(mt):
+        return f'"{field}": [' + ", ".join(f'"{v}"' for v in mt[1].split(", ")) + "]"
+    return re.sub(rf'"{field}": \[([^\]]*)\]', quoted, text)
 
 
 def bits(a):
