@@ -358,12 +358,18 @@ def _m_step_masked_core(stats, resp, current):
     # the r bracket [R_FLOOR, 1e26] holds ratios, so it is the same at every
     # response scale; log space keeps the root search well conditioned
     u_lo, u_hi = math.log(R_FLOOR), math.log(1e26)
-    if score(u_lo) <= 0.0:
+    s_lo = score(u_lo)
+    if s_lo <= 0.0:
         u = u_lo
-    elif score(u_hi) >= 0.0:
-        u = u_hi
     else:
-        u = brentq(score, u_lo, u_hi)
+        s_hi = score(u_hi)
+        if s_hi >= 0.0:
+            u = u_hi
+        else:
+            # brentq starts by scoring both bracket ends, already scored here
+            u = brentq(
+                lambda v: s_lo if v == u_lo else s_hi if v == u_hi else score(v), u_lo, u_hi
+            )
     ratio, _, sigma2 = profile(u)
     eta = ratio * sigma2
     # the profile need not be unimodal in r, so the root found (or a bracket

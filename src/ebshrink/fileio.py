@@ -10,6 +10,11 @@ TSV layout: the first row holds column identifiers; when its first cell is
 ``#id`` every data row additionally starts with a row identifier.  Cells
 are decimal floats; ``NA`` marks a missing response where permitted and
 reads back as NaN.
+
+Both directions work a row at a time: the reader parses each data row with
+one numpy assignment (numpy reads a string through ``float()``) and scans
+cell by cell only to locate an error; the writer renders each run of float
+cells with one ``join`` over ``float.__repr__``.
 """
 
 import itertools
@@ -29,6 +34,15 @@ def _cell(c):
     return str(c)
 
 
+def _run_text(run, sep):
+    """Cells of one type joined by ``sep``; a run of floats renders in one pass."""
+    if type(run[0]) is float:
+        text = sep.join(map(float.__repr__, run))
+        if "nan" not in text:  # no float repr but NaN's holds "nan"
+            return text
+    return sep.join(map(_cell, run))
+
+
 def render_table(header, rows, sep="\t"):
     """Text of a delimited table, one line per row, each ending in a newline.
 
@@ -40,11 +54,13 @@ def render_table(header, rows, sep="\t"):
     """
     lines = []
     for row in itertools.chain([header], rows):
-        cells = [_cell(c) for c in row]
-        if len(cells) != len(header):
-            raise ValueError(f"line {len(lines) + 1} has {len(cells)} cells, header {len(header)}")
-        line = sep.join(cells)
-        if line.count(sep) != len(cells) - 1 or "\n" in line or "\r" in line:
+        runs = [list(run) for _, run in itertools.groupby(row, type)]
+        width = sum(map(len, runs))
+        if width != len(header):
+            raise ValueError(f"line {len(lines) + 1} has {width} cells, header {len(header)}")
+        line = sep.join([_run_text(run, sep) for run in runs])
+        if line.count(sep) != width - 1 or "\n" in line or "\r" in line:
+            cells = [_cell(c) for run in runs for c in run]
             for j, cell in enumerate(cells):
                 if sep in cell or "\n" in cell or "\r" in cell:
                     raise ValueError(
@@ -73,6 +89,10 @@ class MatrixFile:
 def read_matrix_tsv(path, allow_na=False):
     """Parse a TSV matrix file.
 
+    Valid input is parsed a row at a time; the cell-by-cell scan runs only
+    to locate an error.  Values are bitwise those of ``float()`` on each
+    cell.
+
     Parameters
     ----------
     path : str
@@ -87,17 +107,16 @@ def read_matrix_tsv(path, allow_na=False):
     ------
     ParseError
         Ragged rows, unparseable or non-finite numbers, missing header or
-        data; coordinates are 1-based file positions.
+        data; coordinates are 1-based file positions of the first error.
     NaInCovariates
         An NA cell when ``allow_na`` is false.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+        rows = [ln.rstrip("\n").rstrip("\r").split("\t") for ln in fh]
+    while rows and rows[-1] == [""]:
+        rows.pop()
+    if not rows:
         raise ParseError(f"{path}: empty file")
-    rows = [ln.split("\t") for ln in lines]
     header = rows[0]
     has_ids = header[0] == "#id"
     col_ids = header[1:] if has_ids else header
@@ -106,25 +125,50 @@ def read_matrix_tsv(path, allow_na=False):
     body = rows[1:]
     if not body:
         raise ParseError(f"{path}: header but no data rows")
-    width = len(header)
-    row_ids = [] if has_ids else None
-    values = np.empty((len(body), len(col_ids)))
+    values = _parse_rows(body, len(header), int(has_ids), allow_na)
+    if values is None:
+        _raise_first_error(path, body, len(header), int(has_ids), allow_na)
+        raise RuntimeError(f"{path}: the row parse failed where the cell scan finds no error")
+    row_ids = [row[0] for row in body] if has_ids else None
+    return MatrixFile(values=values, row_ids=row_ids, col_ids=list(col_ids))
+
+
+def _parse_rows(body, width, start, allow_na):
+    """The data rows as a float array, or None when some row or cell is illegal."""
+    values = np.empty((len(body), width - start))
+    na_count = np.zeros(len(body), dtype=np.intp)
+    for i, row in enumerate(body):
+        if len(row) != width:
+            return None
+        cells = row[start:]
+        if allow_na and "NA" in cells:
+            na_count[i] = cells.count("NA")
+            cells = ["nan" if c == "NA" else c for c in cells]
+        try:
+            values[i] = cells
+        except ValueError:
+            return None
+    # each NA cell parsed as NaN, so a row is legal when its NA cells are
+    # its only non-finite values
+    if not np.array_equal(np.count_nonzero(np.isfinite(values), axis=1), width - start - na_count):
+        return None
+    return values
+
+
+def _raise_first_error(path, body, width, start, allow_na):
+    """Raise the error of the first illegal row or cell in file order."""
     for i, row in enumerate(body):
         line_no = i + 2
         if len(row) != width:
             raise ParseError(
                 f"{path}: expected {width} fields, found {len(row)}", row=line_no
             )
-        if has_ids:
-            row_ids.append(row[0])
-            row = row[1:]
-        for c, cell in enumerate(row):
+        for c, cell in enumerate(row[start:]):
             if cell == "NA":
                 if not allow_na:
                     raise NaInCovariates(
                         f"{path}: NA not allowed here", row=line_no, col=c + 1
                     )
-                values[i, c] = np.nan
                 continue
             try:
                 v = float(cell)
@@ -138,8 +182,6 @@ def read_matrix_tsv(path, allow_na=False):
                 raise ParseError(
                     f"{path}: non-finite value {cell!r}", row=line_no, col=c + 1
                 )
-            values[i, c] = v
-    return MatrixFile(values=values, row_ids=row_ids, col_ids=list(col_ids))
 
 
 def write_matrix_tsv(path, values, col_ids=None, row_ids=None):
@@ -203,6 +245,71 @@ def _numbers(values, path, field):
     return out
 
 
+def _check_entry(entry, path, shape):
+    """Raise the error of one report entry's first fault, if it has one."""
+    name = entry["tissue"]
+    if type(name) is not str:
+        raise ParseError(f"{path}: tissue = {name!r} is not a JSON string")
+    h = _numbers(
+        [entry["h"], entry["log_bf"], entry["log_odds"]], path, f"tissue {name!r} summary"
+    ).tolist()[0]
+    if not 0.0 <= h <= 1.0:
+        raise ParseError(f"{path}: tissue {name!r} has h = {h!r} outside [0, 1]")
+    post_mean = _numbers(entry["post_mean"], path, f"tissue {name!r} post_mean")
+    if post_mean.shape != shape:
+        raise ParseError(
+            f"{path}: tissue {name!r} has post_mean of shape {post_mean.shape}, "
+            f"beta has {shape}"
+        )
+    with np.errstate(over="ignore"):
+        cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
+    if not np.all(np.isfinite(cond)):
+        raise NonFinite(f"{path}: tissue {name!r} has post_mean / h beyond float range")
+
+
+def _posteriors(entries, path, shape):
+    """Names and posteriors of all report entries, checked in one stacked pass.
+
+    Only when that pass finds a fault are the entries walked one at a time,
+    so the error names the first bad entry.
+    """
+    try:
+        names = [entry["tissue"] for entry in entries]
+        summaries = [(entry["h"], entry["log_bf"], entry["log_odds"]) for entry in entries]
+        post_means = [entry["post_mean"] for entry in entries]
+        # exact types, as in _numbers
+        ok = (
+            set(map(type, names)) == {str}
+            and set(map(type, itertools.chain.from_iterable(summaries))) <= {int, float}
+            and set(map(type, post_means)) == {list}
+            and set(map(len, post_means)) == {shape[0]}
+            and set(map(type, itertools.chain.from_iterable(post_means))) <= {int, float}
+        )
+        if ok:
+            summary = np.array(summaries, dtype=np.float64)
+            h, log_bf, log_odds = summary.T
+            post_mean = np.array(post_means, dtype=np.float64)
+            with np.errstate(over="ignore"):
+                cond = np.divide(
+                    post_mean, h[:, None], out=np.zeros_like(post_mean), where=h[:, None] > 0.0
+                )
+            ok = bool(
+                np.isfinite(summary).all() and ((h >= 0.0) & (h <= 1.0)).all()
+                and np.isfinite(post_mean).all() and np.isfinite(cond).all()
+            )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        for entry in entries:
+            _check_entry(entry, path, shape)
+        raise RuntimeError(f"{path}: the stacked check failed where no entry is at fault")
+    posteriors = [
+        TissuePosterior(*fields)
+        for fields in zip(h.tolist(), post_mean, cond, log_bf.tolist(), log_odds.tolist())
+    ]
+    return names, posteriors
+
+
 def read_fit_json(path):
     """Load a fit report.
 
@@ -240,29 +347,7 @@ def read_fit_json(path):
         params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
         if not doc["posteriors"]:
             raise ParseError(f"{path}: no posteriors")
-        names = []
-        posteriors = []
-        for entry in doc["posteriors"]:
-            name = entry["tissue"]
-            if type(name) is not str:
-                raise ParseError(f"{path}: tissue = {name!r} is not a JSON string")
-            names.append(name)
-            h, log_bf, log_odds = _numbers(
-                [entry["h"], entry["log_bf"], entry["log_odds"]], path, f"tissue {name!r} summary"
-            ).tolist()
-            if not 0.0 <= h <= 1.0:
-                raise ParseError(f"{path}: tissue {name!r} has h = {h!r} outside [0, 1]")
-            post_mean = _numbers(entry["post_mean"], path, f"tissue {name!r} post_mean")
-            if post_mean.shape != params.beta.shape:
-                raise ParseError(
-                    f"{path}: tissue {name!r} has post_mean of shape {post_mean.shape}, "
-                    f"beta has {params.beta.shape}"
-                )
-            with np.errstate(over="ignore"):
-                cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
-            if not np.all(np.isfinite(cond)):
-                raise NonFinite(f"{path}: tissue {name!r} has post_mean / h beyond float range")
-            posteriors.append(TissuePosterior(h, post_mean, cond, log_bf, log_odds))
+        names, posteriors = _posteriors(doc["posteriors"], path, params.beta.shape)
         trace = _numbers(doc["loglik_trace"], path, "loglik_trace")
         iterations, converged = doc["iterations"], doc["converged"]
         if type(iterations) is not int:

@@ -15,6 +15,8 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from ebshrink.errors import NaInCovariates, ParseError
+
 
 def dense_hat(x):
     """H = X (X'X)^-1 X' formed explicitly."""
@@ -223,3 +225,73 @@ def numeric_q_max_complete(x, y_panel, resp, r_floor=1e-12):
     )
     tau1 = 1.0 / (1.0 + np.exp(-t_ref.x[0]))
     return float(tau1), beta, float(sigma2), float(eta)
+
+
+def read_matrix_tsv_per_cell(path, allow_na=False):
+    """A TSV matrix parsed one cell at a time through ``float()``.
+
+    The reference for the package's row-at-a-time reader: the same layout
+    rules, checked in file order, so the first fault raises ParseError (or
+    NaInCovariates for an NA outside a response file) with its 1-based row
+    and column.  Returns a namespace with values, row_ids and col_ids.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    rows = [ln.split("\t") for ln in lines]
+    header = rows[0]
+    has_ids = header[0] == "#id"
+    col_ids = header[1:] if has_ids else header
+    if not col_ids:
+        raise ParseError(f"{path}: header has no column identifiers")
+    body = rows[1:]
+    if not body:
+        raise ParseError(f"{path}: header but no data rows")
+    row_ids = [] if has_ids else None
+    values = np.empty((len(body), len(col_ids)))
+    for i, row in enumerate(body):
+        line_no = i + 2
+        if len(row) != len(header):
+            raise ParseError(f"{path}: ragged row", row=line_no)
+        if has_ids:
+            row_ids.append(row[0])
+            row = row[1:]
+        for c, cell in enumerate(row):
+            if cell == "NA":
+                if not allow_na:
+                    raise NaInCovariates(f"{path}: NA", row=line_no, col=c + 1)
+                values[i, c] = np.nan
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: not a number", row=line_no, col=c + 1) from None
+            if not np.isfinite(v):
+                raise ParseError(f"{path}: non-finite", row=line_no, col=c + 1)
+            values[i, c] = v
+    return SimpleNamespace(values=values, row_ids=row_ids, col_ids=list(col_ids))
+
+
+def render_table_per_cell(header, rows, sep="\t"):
+    """Delimited text rendered one cell at a time: floats by repr, NaN as NA.
+
+    The reference for the package's run-at-a-time writer; a ragged row or a
+    cell holding the separator or a line break raises ValueError.
+    """
+    lines = []
+    for row in [header, *rows]:
+        cells = []
+        for c in row:
+            if isinstance(c, float):
+                cells.append("NA" if np.isnan(c) else float.__repr__(c))
+            else:
+                cells.append(str(c))
+        if len(cells) != len(header):
+            raise ValueError("ragged row")
+        if any(sep in cell or "\n" in cell or "\r" in cell for cell in cells):
+            raise ValueError("separator or line break in a cell")
+        lines.append(sep.join(cells))
+    return "".join(line + "\n" for line in lines)

@@ -20,6 +20,7 @@ from ebshrink.fileio import (
 )
 from ebshrink.linalg import build_design
 from ebshrink.posterior import PriorParams, TissuePosterior
+from oracles import read_matrix_tsv_per_cell, render_table_per_cell
 
 
 def write_text(path, text):
@@ -156,6 +157,18 @@ class TestWriteMatrixTsv:
             write_matrix_tsv(p, np.ones((1, 2)), col_ids=col_ids, row_ids=row_ids)
         assert not p.exists()
 
+    @pytest.mark.parametrize(
+        "col_ids, row_ids, where",
+        [(["a", "b"], ["r1", "r\t2"], "line 3, field 1"),
+         (["a", "b\tc"], ["r1", "r2"], "line 1, field 3")],
+        ids=["row_id", "header"],
+    )
+    def test_tab_in_identifier_named(self, tmp_path, col_ids, row_ids, where):
+        p = tmp_path / "m.tsv"
+        with pytest.raises(ValueError, match=where):
+            write_matrix_tsv(p, np.ones((2, 2)), col_ids=col_ids, row_ids=row_ids)
+        assert not p.exists()
+
     def test_row_id_count_checked(self, tmp_path):
         p = tmp_path / "m.tsv"
         with pytest.raises(ValueError, match="1 row ids for 2 rows"):
@@ -290,6 +303,85 @@ EDGES = [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
          -1.7976931348623157e308]
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
 round_trip = settings(derandomize=True, deadline=None, database=None)
+
+
+# spellings float() reads that the format forbids (non-finite, overflow)
+# or that look odd but are legal, and ones it refuses
+ODD_CELLS = ["NA", "nan", "NaN", "-nan", "inf", "infinity", "1e400", "1_0", " 2 ", "  1",
+             "\u0661\u0662", "0x10", ""]
+
+
+def read_outcome(read, path, allow_na):
+    try:
+        return read(path, allow_na=allow_na)
+    except ParseError as exc:  # NaInCovariates included
+        return exc
+
+
+def render_outcome(render, header, rows):
+    try:
+        return render(header, rows, ",")
+    except ValueError:
+        return ValueError
+
+
+class TestRowAtATimeProperties:
+    """The row-at-a-time reader and writer against per-cell references."""
+
+    @round_trip
+    @given(data=st.data(), n_rows=st.integers(1, 4), n_cols=st.integers(1, 4),
+           has_ids=st.booleans(), allow_na=st.booleans(), odd=st.booleans(),
+           ragged=st.booleans())
+    def test_reader_matches_cell_scan(self, tmp_path_factory, data, n_rows, n_cols, has_ids,
+                                      allow_na, odd, ragged):
+        cell = st.builds(repr, finite) | st.just("NA")
+        if odd:
+            cell = cell | st.sampled_from(ODD_CELLS)
+        widths = st.sampled_from([n_cols, n_cols - 1, n_cols + 1]) if ragged else st.just(n_cols)
+        grid = [["#id"] * has_ids + [f"c{j}" for j in range(n_cols)]]
+        for _ in range(n_rows):
+            row_id = [data.draw(st.sampled_from(["r1", "NA", "nan"]))] * has_ids
+            width = data.draw(widths)
+            grid.append(row_id + data.draw(st.lists(cell, min_size=width, max_size=width)))
+        path = tmp_path_factory.mktemp("tsv") / "m.tsv"
+        path.write_text("".join("\t".join(row) + "\n" for row in grid), encoding="utf-8")
+        want = read_outcome(read_matrix_tsv_per_cell, str(path), allow_na)
+        got = read_outcome(read_matrix_tsv, str(path), allow_na)
+        if isinstance(want, ParseError):
+            assert type(got) is type(want)
+            assert (got.row, got.col) == (want.row, want.col)
+        else:
+            assert (got.row_ids, got.col_ids) == (want.row_ids, want.col_ids)
+            nan = np.isnan(want.values)
+            assert np.array_equal(np.isnan(got.values), nan)
+            assert np.array_equal(bits(got.values[~nan]), bits(want.values[~nan]))
+
+    @round_trip
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                             elements=finite | st.just(np.nan)),
+           with_ids=st.booleans())
+    def test_matrix_writer_matches_per_cell(self, tmp_path_factory, values, with_ids):
+        header = [f"t{j}" for j in range(values.shape[1])]
+        rows = [row.tolist() for row in values]
+        row_ids = None
+        if with_ids:
+            row_ids = [f"r{i}" for i in range(len(values))]
+            header = ["#id", *header]
+            rows = [[rid, *row] for rid, row in zip(row_ids, rows)]
+        path = tmp_path_factory.mktemp("tsv") / "m.tsv"
+        write_matrix_tsv(path, values, col_ids=header[with_ids:], row_ids=row_ids)
+        assert path.read_bytes() == render_table_per_cell(header, rows).encode("utf-8")
+
+    @round_trip
+    @given(data=st.data(), width=st.integers(1, 5), n_rows=st.integers(0, 4))
+    def test_mixed_rows_match_per_cell(self, data, width, n_rows):
+        cell = (finite | st.just(np.nan) | finite.map(np.float64) | st.integers()
+                | st.booleans() | st.text(st.sampled_from("aNn1.\t,\n\r"), max_size=3))
+        header = [f"h{j}" for j in range(width)]
+        rows = [data.draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(n_rows)]
+        assert render_outcome(render_table, header, rows) == render_outcome(
+            render_table_per_cell, header, rows
+        )
 
 
 class TestRoundTripProperties:
