@@ -18,6 +18,7 @@ from .em import (
     init_params,
     m_step_complete,
     m_step_masked,
+    ols,
     tissue_posterior,
 )
 from .errors import (
@@ -39,7 +40,7 @@ from .fileio import (
     write_fit_json,
     write_matrix_tsv,
 )
-from .linalg import Design, build_design, ols
+from .linalg import Design, build_design
 from .posterior import PriorParams, TissuePosterior
 from .simulate import (
     RiskEstimate,

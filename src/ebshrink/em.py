@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from . import kernels
 from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
-from .linalg import PIVOT_RTOL, _apply_mask, _checked_cholesky
+from .linalg import PIVOT_RTOL, _checked_cholesky
 from .posterior import R_FLOOR, PriorParams, TissuePosterior
 
 # responsibility mass below which the signal component is considered empty
@@ -130,7 +130,10 @@ class FitResult:
     every EM iteration; iterations == len(loglik_trace).  The loop ends on
     an E-step, so the last entry is the log-likelihood at ``params`` and
     the posteriors come from that same E-step.  converged=False just means
-    max_iter was hit, the result is still usable.
+    max_iter was hit, the result is still usable.  betahat, of shape
+    (m, p), holds every tissue's least squares on its observed rows (the
+    fit's own statistics); it is None on a result loaded from a fit report,
+    which does not store it.
     """
 
     params: PriorParams
@@ -138,6 +141,7 @@ class FitResult:
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
+    betahat: np.ndarray = None
 
 
 class _SuffStats:
@@ -477,7 +481,58 @@ def fit(design, panel, options=None):
         loglik_trace=np.asarray(trace, dtype=np.float64),
         iterations=len(trace),
         converged=converged,
+        betahat=stats.betahat,
     )
+
+
+def _tissue_stats(design, y, mask):
+    """_SuffStats of one tissue: all n rows, or the observed ones under mask.
+
+    With a mask, y holds either all n responses (unobserved ones are never
+    read) or just the observed ones.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if mask is None:
+        if y.shape != (design.n,):
+            raise BadShape(f"response must have shape ({design.n},), got {y.shape}")
+        return _SuffStats(design, ResponsePanel(y[:, None]))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (design.n,):
+        raise BadShape(f"mask must have shape ({design.n},), got {mask.shape}")
+    if y.shape != (design.n,):
+        if y.shape != (int(mask.sum()),):
+            raise BadShape("response length matches neither n nor the mask count")
+        col = np.full(design.n, np.nan)
+        col[mask] = y
+        y = col
+    return _SuffStats(design, ResponsePanel(y[:, None], mask=mask[:, None]))
+
+
+def ols(design, y, mask=None):
+    """Least-squares coefficients on the observed rows.
+
+    Parameters
+    ----------
+    design : Design
+    y : array_like
+        Either all n responses, or just the observed ones when ``mask``
+        is given.
+    mask : array_like of bool, optional
+        Observation indicator of length n.
+
+    Returns
+    -------
+    ndarray of shape (p,)
+
+    Raises
+    ------
+    BadShape
+        If fewer than p+1 rows are observed.
+    RankDeficient
+        If the observed rows hold less than 1e-12 of X'X along some
+        direction, the rule :func:`fit` applies to every tissue.
+    """
+    return _tissue_stats(design, y, mask).betahat[0]
 
 
 def tissue_posterior(design, y, params, mask=None):
@@ -501,16 +556,10 @@ def tissue_posterior(design, y, params, mask=None):
     BadShape
         If fewer than p+1 rows are observed, or params.beta does not have p
         entries.
+    RankDeficient
+        Under the same rule as :func:`ols`.
     """
-    _, y_obs = _apply_mask(design, y, mask)
-    if mask is None:
-        panel = ResponsePanel(y_obs[:, None])
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        col = np.full(design.n, np.nan)
-        col[mask] = y_obs
-        panel = ResponsePanel(col[:, None], mask=mask[:, None])
-    stats = _SuffStats(design, panel)
+    stats = _tissue_stats(design, y, mask)
     stats.check_mean(params)
     resp, _, lg0, lg1 = _estep_core(stats, params)
     return _summarize(stats, params, resp, lg0, lg1)[0]

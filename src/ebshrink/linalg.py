@@ -1,9 +1,8 @@
-"""Designs, their Cholesky factorization, and least squares."""
+"""Designs and their Cholesky factorization."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import BadShape, NonFinite, RankDeficient
 
@@ -91,53 +90,3 @@ def build_design(x):
         raise BadShape(f"design must have n > p, got square n=p={n}")
     return Design(x=x, gram=gram, gram_factor=factor, n=n, p=p)
 
-
-def _apply_mask(design, y, mask):
-    """Split y/mask handling shared by the masked operations."""
-    y = np.asarray(y, dtype=np.float64)
-    if mask is None:
-        if y.shape != (design.n,):
-            raise BadShape(f"response must have shape ({design.n},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise NonFinite("response contains NaN or infinite entries")
-        return design.x, y
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (design.n,):
-        raise BadShape(f"mask must have shape ({design.n},), got {mask.shape}")
-    if y.shape == (design.n,):
-        y = y[mask]
-    elif y.shape != (int(mask.sum()),):
-        raise BadShape("response length matches neither n nor the mask count")
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("observed response contains NaN or infinite entries")
-    return design.x[mask], y
-
-
-def ols(design, y, mask=None):
-    """Least-squares coefficients on the observed rows.
-
-    Parameters
-    ----------
-    design : Design
-    y : array_like
-        Either all n responses, or just the observed ones when ``mask``
-        is given.
-    mask : array_like of bool, optional
-        Observation indicator of length n.
-
-    Returns
-    -------
-    ndarray of shape (p,)
-
-    Raises
-    ------
-    RankDeficient
-        If the observed sub-design has singular Gram matrix.
-    """
-    xm, ym = _apply_mask(design, y, mask)
-    if mask is None:
-        return cho_solve((design.gram_factor, True), design.x.T @ ym)
-    sub_gram = xm.T @ xm
-    sub_gram = 0.5 * (sub_gram + sub_gram.T)
-    factor = _checked_cholesky(sub_gram, "observed-row X'X")
-    return cho_solve((factor, True), xm.T @ ym)

@@ -17,10 +17,10 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from ._parallel import parallel_map
-from .em import FitOptions, ResponsePanel, fit, tissue_posterior
+from .em import FitOptions, ResponsePanel, fit, ols, tissue_posterior
 from .errors import BadConfig, BadShape, DegenerateLabels, EbshrinkError, NonFinite
 from .fileio import render_table, write_text
-from .linalg import Design, build_design, ols
+from .linalg import Design, build_design
 from .posterior import PriorParams
 
 # pool size for the synthetic genotype panel in setting 4
@@ -315,13 +315,8 @@ class SimReport:
 
 def _one_replication(config, rep_index, options):
     data = simulate_setting(replace(config, seed=_mix_seed(config.seed, rep_index)))
-    design = build_design(data.x)
-    complete = data.panel.complete
-    est_ols = np.empty((config.p, config.m))
-    for t in range(config.m):
-        mask_t = None if complete else data.panel.mask[:, t]
-        est_ols[:, t] = ols(design, data.panel.y[:, t], mask=mask_t)
-    result = fit(design, data.panel, options)
+    result = fit(build_design(data.x), data.panel, options)
+    est_ols = result.betahat.T
     est_post = np.column_stack([tp.post_mean for tp in result.posteriors])
     scores = np.array([tp.h for tp in result.posteriors])
     return (

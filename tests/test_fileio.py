@@ -212,6 +212,15 @@ class TestFitJson:
             assert a.log_bf == b.log_bf
             assert a.log_odds == b.log_odds
 
+    def test_betahat_is_not_stored(self, tmp_path):
+        _, panel, res = self.fitted()
+        assert res.betahat.shape == (4, 3)
+        p = tmp_path / "fit.json"
+        write_fit_json(p, res, panel.tissue_names)
+        assert "betahat" not in p.read_text()
+        back, _ = read_fit_json(str(p))
+        assert back.betahat is None
+
     def test_predictions_survive_round_trip_bitwise(self, tmp_path):
         d, panel, res = self.fitted(seed=93)
         p = tmp_path / "fit.json"

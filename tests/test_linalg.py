@@ -1,11 +1,12 @@
-"""Design construction and OLS."""
+"""Design construction, and least squares under the fit's rank rule."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ebshrink.errors import BadShape, NonFinite, RankDeficient
-from ebshrink.linalg import _checked_cholesky, build_design, ols
+from ebshrink.em import FitOptions, fit, ols
+from ebshrink.linalg import _checked_cholesky, build_design
 
 from test_em import collinear_panel
 
@@ -62,8 +63,9 @@ class TestOls:
         assert_allclose(ols(d, np.zeros(7)), np.zeros(3), atol=0)
 
     def test_hand_masked(self):
-        d = build_design([[1.0], [1.0]])
-        assert_allclose(ols(d, [1.0, 3.0], mask=[True, False]), [1.0])
+        d = build_design([[1.0], [1.0], [1.0]])
+        assert_allclose(ols(d, [1.0, 3.0, 5.0], mask=[True, False, True]), [3.0])
+        assert_allclose(ols(d, [1.0, 5.0], mask=[True, False, True]), [3.0])
 
     def test_normal_equations(self):
         rng = np.random.default_rng(11)
@@ -83,11 +85,18 @@ class TestOls:
         assert_allclose(ols(d, y, mask=mask), ref, rtol=1e-9)
 
     def test_masked_rank_deficient(self):
-        d = build_design(np.vstack([np.eye(3), np.ones((2, 3))]))
-        y = np.arange(5.0)
-        # keep two rows: 2 < p, observed Gram singular
-        with pytest.raises(RankDeficient):
-            ols(d, y, mask=[True, True, False, False, False])
+        # p+1 = 4 observed rows, all with a zero third coordinate
+        x = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]]
+        d = build_design(np.array(x, dtype=np.float64))
+        with pytest.raises(RankDeficient, match="observed-row"):
+            ols(d, np.arange(6.0), mask=[True] * 4 + [False] * 2)
+
+    def test_p_observed_rows_bad_shape(self):
+        rng = np.random.default_rng(13)
+        d = random_design(rng, 6, 3)
+        y = rng.standard_normal(6)
+        with pytest.raises(BadShape, match="need at least p\\+1 = 4"):
+            ols(d, y, mask=[True] * 3 + [False] * 3)
 
     def test_masked_pivot_check_is_scale_free(self):
         # t2's observed rows nearly satisfy column 3 = column 0 + column 1;
@@ -105,6 +114,25 @@ class TestOls:
         x[:, 0] *= scale
         with pytest.raises(RankDeficient, match="observed-row"):
             ols(build_design(x), panel.y[:, 1], mask=panel.mask[:, 1])
+
+    @pytest.mark.parametrize("noise, rejected", [(0.0, True), (3e-6, True), (1e-3, False)])
+    def test_one_rank_rule_with_fit(self, noise, rejected):
+        # at noise 3e-6 t2's observed rows hold about 7e-13 of X'X along one
+        # direction, while every pivot of their raw Gram keeps more than
+        # 1e-12 of its diagonal: a pivot rule would accept what fit rejects
+        x, panel = collinear_panel(noise)
+        d = build_design(x)
+        rejection = "observed-row X'X for tissue t[0-9] is numerically rank deficient"
+        calls = [
+            lambda: ols(d, panel.y[:, 1], mask=panel.mask[:, 1]),
+            lambda: fit(d, panel, FitOptions(max_iter=2)),
+        ]
+        for call in calls:
+            if rejected:
+                with pytest.raises(RankDeficient, match=rejection):
+                    call()
+            else:
+                call()
 
 
 class TestCheckedCholesky:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ebshrink.em import tissue_posterior
 from ebshrink.errors import BadShape, NonFinite
-from ebshrink.linalg import build_design, ols
+from ebshrink.linalg import build_design
 from ebshrink.posterior import PriorParams
 
 from oracles import (
@@ -58,7 +58,7 @@ class TestTissuePosterior:
         beta0 = rng.standard_normal(3)
         params = PriorParams(tau1=1.0 - 1e-6, beta=beta0, eta=1.5, sigma2=1.5)
         tp = tissue_posterior(d, y, params)
-        betahat = ols(d, y)
+        betahat = np.linalg.lstsq(d.x, y, rcond=None)[0]
         assert_allclose(tp.post_mean, 0.5 * (beta0 + betahat), rtol=1e-5)
 
     def test_quadrature_oracle_posterior_mean(self):
