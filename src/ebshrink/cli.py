@@ -2,8 +2,9 @@
 
 Subcommands: fit, predict, simulate, cv, screen.  Exit codes: 0 success,
 2 usage error (argparse), 1 runtime failure (bad files, degenerate data,
-I/O).  Output bytes depend only on the inputs; EBSHRINK_THREADS changes
-scheduling, never results.
+I/O).  Output bytes depend on the inputs and on the BLAS thread count,
+which can move results at roundoff; EBSHRINK_THREADS changes scheduling,
+never results.
 """
 
 import argparse

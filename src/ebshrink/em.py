@@ -326,8 +326,13 @@ def _m_step_masked_core(stats, resp, current):
         wgt = (t_one[:, None] * stats.d / shifted).reshape(pool).sum(axis=1)
         rhs = (t_one[:, None] * stats.pb / shifted).reshape(pool).sum(axis=1)
         rows = stats.vecs.reshape(-1, stats.p)               # every v_tj'
-        mat = rows.T @ (wgt.reshape(-1, 1) * rows)
-        factor = _checked_cholesky(0.5 * (mat + mat.T), "GLS normal matrix")
+        # wgt >= 0 (t_one in [0, 1], d > 0, shifted >= 1), so the normal
+        # matrix is half'half: numpy hands A.T @ A to BLAS syrk, which forms
+        # one triangle (half the flops of a general product) and mirrors it,
+        # so the result is exactly symmetric
+        half = np.sqrt(wgt).reshape(-1, 1) * rows
+        mat = half.T @ half
+        factor = _checked_cholesky(mat, "GLS normal matrix")
         lt_beta = cho_solve((factor, True), rows.T @ rhs.ravel())
         beta = solve_triangular(stats.gram_factor.T, lt_beta, lower=False)
 

@@ -72,6 +72,25 @@ def dense_loglik(x, y_panel, mask_panel, params):
     return total
 
 
+def dense_gls_beta(x, y, mask, resp, params):
+    """Responsibility-weighted GLS mean at the current variances.
+
+    Solves sum_t t1_t X_t'C_t^-1 X_t beta = sum_t t1_t X_t'C_t^-1 y_t with
+    C_t the dense observed-row covariance of tissue t at ``params``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    p = x.shape[1]
+    mat = np.zeros((p, p))
+    rhs = np.zeros(p)
+    for t in range(y.shape[1]):
+        idx = np.asarray(mask[:, t], dtype=bool)
+        cov = dense_cov_masked(x, idx, params.sigma2, params.eta)
+        xm = x[idx]
+        mat += resp[t, 1] * (xm.T @ np.linalg.solve(cov, xm))
+        rhs += resp[t, 1] * (xm.T @ np.linalg.solve(cov, y[idx, t]))
+    return np.linalg.solve(mat, rhs)
+
+
 def loop_suff_stats(x, y_panel, mask_panel):
     """Per-tissue eigenbasis statistics built one tissue at a time.
 

@@ -1,7 +1,11 @@
 """EM steps and the full fit loop, checked against slow reference maximizers."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ebshrink import em, kernels
@@ -21,10 +25,11 @@ from ebshrink.em import (
 )
 from ebshrink.errors import BadShape, DegenerateResponsibilities, RankDeficient
 from ebshrink.linalg import build_design
-from ebshrink.posterior import PriorParams
+from ebshrink.posterior import R_FLOOR, PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
 
 from oracles import (
+    dense_gls_beta,
     dense_loglik,
     dense_responsibility,
     loop_suff_stats,
@@ -377,6 +382,54 @@ class TestMStepMasked:
             new = m_step_masked(d, panel, resp, params)
             _, ll_after = e_step(d, panel, new)
             assert ll_after >= ll_before - 1e-10 * (1.0 + abs(ll_before))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(data=st.data(), n=st.integers(8, 20), p=st.integers(1, 4), m=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1), floor=st.booleans())
+    def test_beta_matches_dense_gls(self, data, n, p, m, seed, floor):
+        # beta is the responsibility-weighted GLS at the current variances,
+        # tissues with no signal responsibility (t1 = 0) dropping out of it
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        y = rng.standard_normal((n, m)) + (x @ rng.standard_normal(p))[:, None]
+        mask = np.ones((n, m), dtype=bool)
+        for t in range(m):
+            n_obs = data.draw(st.integers(p + 1, n))
+            mask[rng.choice(n, n - n_obs, replace=False), t] = False
+        t1 = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        t1[0] = max(t1[0], 0.1)
+        resp = np.column_stack([1.0 - t1, t1])
+        sigma2 = float(rng.uniform(0.5, 2.0))
+        ratio = R_FLOOR if floor else float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
+        current = PriorParams(tau1=0.5, beta=rng.standard_normal(p), eta=ratio * sigma2,
+                              sigma2=sigma2)
+        d = build_design(x)
+        panel = ResponsePanel(np.where(mask, y, np.nan), mask=mask)
+        try:
+            new = m_step_masked(d, panel, resp, current)
+        except RankDeficient:
+            assume(False)
+        ref = dense_gls_beta(x, y, mask, resp, current)
+        # relative to the largest coefficient, so an entry near zero is not
+        # held to a relative bound of its own
+        assert np.max(np.abs(new.beta - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_roundoff_negative_responsibilities_are_clipped(self):
+        # _check_resp admits entries down to -1e-12; the GLS weights take
+        # their square root, so they must reach the step clipped to [0, 1]
+        rng = np.random.default_rng(81)
+        d, panel = random_problem(rng, n=12, p=2, m=5, missing=3)
+        current = random_params(rng, 2)
+        t1 = np.array([0.7, -1e-12, 0.4, -5e-13, 1.0 + 5e-13])
+        resp = np.column_stack([1.0 - t1, t1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            new = m_step_masked(d, panel, resp, current)
+        ref = m_step_masked(d, panel, np.clip(resp, 0.0, 1.0), current)
+        assert new.tau1 == ref.tau1
+        assert np.array_equal(new.beta, ref.beta)
+        assert (new.sigma2, new.eta) == (ref.sigma2, ref.eta)
 
 
 class TestInitParams:
