@@ -1,8 +1,9 @@
 """Prediction, k-fold cross-validation, and z-score combination.
 
-Folds are drawn independently per tissue over that tissue's observed rows,
-so every observed cell is held out exactly once; the model is refit k
-times with the held-out cells masked across all tissues simultaneously.
+Cross-validation holds out individuals: one permutation of the rows is cut
+into k folds, and each fold is predicted by a fit on the other rows alone,
+whose design and g-prior are rebuilt from those rows.  Every observed cell
+is held out exactly once, and a complete panel trains on complete panels.
 """
 
 from dataclasses import astuple, dataclass
@@ -13,8 +14,9 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .em import FitOptions, ResponsePanel, fit
-from .errors import BadShape, FoldTooSmall, NonFinite
+from .errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from .fileio import render_table, write_text
+from .linalg import build_design
 from .simulate import mse as pmse
 
 
@@ -61,11 +63,10 @@ class CvTissueRow:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Held-out metrics per tissue plus the fold sizes used."""
+    """Held-out metrics per tissue for a k-fold cross-validation."""
 
     rows: tuple
     folds: int
-    fold_sizes: tuple  # per tissue, tuple of per-fold counts
 
     CSV_HEADER = "tissue,n_obs,pmse,r2"
 
@@ -79,65 +80,62 @@ class CvReport:
 def kfold_cv(design, panel, k=10, seed=0, options=None):
     """Cross-validated prediction metrics for every tissue.
 
+    The folds hold out individuals: one permutation of the n rows is split
+    into k folds with ``np.array_split``, so fold sizes differ by at most 1.
+    Fold i fits on the remaining rows alone, with the design rebuilt from
+    them (so the g-prior's (X'X)^-1 never sees a held-out row) and each
+    tissue's mask restricted to them, then predicts every tissue on the
+    held-out rows.  Each tissue is scored over its observed cells.
+
     Parameters
     ----------
     design : Design
     panel : ResponsePanel
+        Rows aligned with the design's rows.
     k : int
-        Fold count, >= 2.  Fold sizes within a tissue differ by at most 1.
+        Fold count, 2 <= k <= n.
     seed : int
-        Drives the per-tissue permutations.
+        Drives the row permutation.
     options : FitOptions, optional
 
     Raises
     ------
+    BadShape
+        If the panel's row count differs from the design's.
     FoldTooSmall
-        If a tissue has fewer than k observed rows, or masking a fold
-        would leave some tissue under p+1 training rows.
+        If k is out of range, or some fold would leave some tissue under
+        p+1 observed training rows.  Checked before any fit.
+    RankDeficient
+        If some fold's training rows give a singular X'X; the message names
+        the fold.
     """
     options = options or FitOptions()
-    if k < 2:
-        raise FoldTooSmall(f"need k >= 2 folds, got {k}")
-    counts = panel.observed_counts()
-    if int(counts.min()) < k:
-        t = int(np.argmin(counts))
+    if panel.n != design.n:
+        raise BadShape(f"panel has {panel.n} rows, design has {design.n}")
+    if not 2 <= k <= design.n:
+        raise FoldTooSmall(f"need 2 <= k <= n = {design.n} folds, got {k}")
+    folds = np.array_split(np.random.default_rng(seed).permutation(design.n), k)
+    train_counts = panel.observed_counts() - np.stack([panel.mask[f].sum(0) for f in folds])
+    short = np.argwhere(train_counts < design.p + 1)
+    if len(short):
+        i, t = short[0]
         raise FoldTooSmall(
-            f"tissue {panel.tissue_names[t]} has {int(counts[t])} observed rows "
-            f"for {k} folds"
-        )
-    rng = np.random.default_rng(seed)
-    fold_rows = []  # fold_rows[t][i] = row indices of tissue t's fold i
-    for t in range(panel.m):
-        obs = np.flatnonzero(panel.mask[:, t])
-        fold_rows.append(np.array_split(rng.permutation(obs), k))
-    min_train = counts - np.array(
-        [max(len(f) for f in folds_t) for folds_t in fold_rows]
-    )
-    if int(min_train.min()) < design.p + 1:
-        t = int(np.argmin(min_train))
-        raise FoldTooSmall(
-            f"tissue {panel.tissue_names[t]} would train on {int(min_train[t])} rows; "
-            f"need at least p+1 = {design.p + 1}"
+            f"tissue {panel.tissue_names[t]} would train on {int(train_counts[i, t])} "
+            f"rows in fold {i + 1} of {k}; need at least p+1 = {design.p + 1}"
         )
 
     def run_fold(i):
-        train_mask = panel.mask.copy()
-        for t in range(panel.m):
-            train_mask[fold_rows[t][i], t] = False
-        train_panel = ResponsePanel(
-            y=np.where(train_mask, panel.y, np.nan),
-            mask=train_mask,
-            tissue_names=panel.tissue_names,
-        )
-        result = fit(design, train_panel, options)
-        return predict(design.x, result)
+        train = np.delete(np.arange(design.n), folds[i])
+        try:
+            train_design = build_design(design.x[train])
+        except RankDeficient as exc:
+            raise RankDeficient(f"fold {i + 1} of {k}: training {exc}") from exc
+        train_panel = ResponsePanel(panel.y[train], panel.mask[train], panel.tissue_names)
+        return predict(design.x[folds[i]], fit(train_design, train_panel, options))
 
-    fold_preds = parallel_map(run_fold, range(k))
-    held_pred = np.full((panel.n, panel.m), np.nan)
-    for i, pred in enumerate(fold_preds):
-        for t in range(panel.m):
-            rows = fold_rows[t][i]
-            held_pred[rows, t] = pred[rows, t]
+    held_pred = np.empty((panel.n, panel.m))
+    for fold, pred in zip(folds, parallel_map(run_fold, range(k))):
+        held_pred[fold] = pred
     rows_out = []
     for t in range(panel.m):
         obs = panel.mask[:, t]
@@ -149,8 +147,7 @@ def kfold_cv(design, panel, k=10, seed=0, options=None):
                 r2=r_squared(held_pred[obs, t], panel.y[obs, t]),
             )
         )
-    sizes = tuple(tuple(len(f) for f in folds_t) for folds_t in fold_rows)
-    return CvReport(rows=tuple(rows_out), folds=k, fold_sizes=sizes)
+    return CvReport(rows=tuple(rows_out), folds=k)
 
 
 def stouffer_combine(z_scores):

@@ -96,6 +96,26 @@ class TestCv:
         assert lines[0] == "tissue,n_obs,pmse,r2"
         assert len(lines) == 9
 
+    def test_singular_training_fold_fails_cleanly(self, tmp_path, capsys):
+        # a covariate nonzero on one individual only: the fold holding that
+        # individual out trains on a zero column
+        x = np.random.default_rng(51).standard_normal((20, 3))
+        x[:, 2] = 0.0
+        x[7, 2] = 1.0
+        x_path, y_path = tmp_path / "x.tsv", tmp_path / "y.tsv"
+        write_matrix_tsv(x_path, x, col_ids=["a", "b", "c"])
+        y = np.random.default_rng(52).standard_normal((20, 2))
+        write_matrix_tsv(y_path, y, col_ids=["t1", "t2"])
+        out = tmp_path / "cv.csv"
+        code = cli_main(
+            ["cv", "--x", str(x_path), "--y", str(y_path), "--folds", "4", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fold ") and "training X'X" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestScreen:
     def test_keeps_strong_rows(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ebshrink import crossval
 from ebshrink.crossval import (
     CvReport,
     CvTissueRow,
@@ -16,7 +17,7 @@ from ebshrink.crossval import (
     stouffer_combine,
 )
 from ebshrink.em import ResponsePanel, fit
-from ebshrink.errors import BadShape, FoldTooSmall, NonFinite
+from ebshrink.errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from ebshrink.linalg import build_design
 
 
@@ -75,27 +76,91 @@ class TestMetrics:
         assert pmse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
 
 
+def masked_toy(seed, n=20, p=2, m=3, missing=4):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    mask = np.ones((n, m), dtype=bool)
+    for t in range(1, m):
+        mask[rng.choice(n, missing, replace=False), t] = False
+    y = np.where(mask, rng.standard_normal((n, m)), np.nan)
+    return x, ResponsePanel(y, mask=mask)
+
+
+def documented_folds(n, k, seed):
+    return np.array_split(np.random.default_rng(seed).permutation(n), k)
+
+
+def record_folds(monkeypatch, x):
+    """Patch crossval.predict to log (held-out row indices, predictions)."""
+    calls = []
+
+    def recording_predict(x_new, fit_result):
+        pred = predict(x_new, fit_result)
+        rows = [int(np.flatnonzero((x == r).all(axis=1))[0]) for r in x_new]
+        calls.append((np.array(rows), pred))
+        return pred
+
+    monkeypatch.setenv("EBSHRINK_THREADS", "1")
+    monkeypatch.setattr(crossval, "predict", recording_predict)
+    return calls
+
+
 class TestKfoldCv:
-    def test_partition_and_sizes(self):
-        rng = np.random.default_rng(40)
-        n, p, m, k = 20, 2, 3, 4
-        x = rng.standard_normal((n, p))
-        mask = np.ones((n, m), dtype=bool)
-        mask[rng.choice(n, 4, replace=False), 1] = False
-        y = np.where(mask, rng.standard_normal((n, m)), np.nan)
-        d = build_design(x)
-        panel = ResponsePanel(y, mask=mask)
-        report = kfold_cv(d, panel, k=k, seed=1)
+    def test_folds_partition_rows(self, monkeypatch):
+        n, k, seed = 23, 4, 1
+        x, panel = masked_toy(40, n=n)
+        calls = record_folds(monkeypatch, x)
+        report = kfold_cv(build_design(x), panel, k=k, seed=seed)
         assert report.folds == k
-        assert len(report.fold_sizes) == m
-        for t in range(m):
-            sizes = report.fold_sizes[t]
-            assert len(sizes) == k
-            assert sum(sizes) == int(mask[:, t].sum())
-            assert max(sizes) - min(sizes) <= 1
-        for row, t in zip(report.rows, range(m)):
-            assert row.n_obs == int(mask[:, t].sum())
+        folds = [rows for rows, _ in calls]
+        assert len(folds) == k
+        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+        sizes = [len(f) for f in folds]
+        assert max(sizes) - min(sizes) <= 1
+        for got, want in zip(folds, documented_folds(n, k, seed)):
+            assert np.array_equal(got, want)
+        for row, t in zip(report.rows, range(panel.m)):
+            assert row.n_obs == int(panel.mask[:, t].sum())
             assert np.isfinite(row.pmse) and 0.0 <= row.r2 <= 1.0
+
+    def test_fold_predictions_are_fits_on_training_rows(self, monkeypatch):
+        x, panel = masked_toy(46, n=24, m=4, missing=6)
+        calls = record_folds(monkeypatch, x)
+        report = kfold_cv(build_design(x), panel, k=3, seed=5)
+        held = np.empty((panel.n, panel.m))
+        for rows, pred in calls:
+            train = np.ones(panel.n, dtype=bool)
+            train[rows] = False
+            train_panel = ResponsePanel(panel.y[train], panel.mask[train], panel.tissue_names)
+            direct = predict(x[rows], fit(build_design(x[train]), train_panel))
+            assert np.array_equal(pred, direct)
+            held[rows] = pred
+        for row, t in zip(report.rows, range(panel.m)):
+            obs = panel.mask[:, t]
+            assert row.pmse == pmse(held[obs, t], panel.y[obs, t])
+            assert row.r2 == r_squared(held[obs, t], panel.y[obs, t])
+
+    def test_complete_panel_trains_on_complete_panels(self, monkeypatch):
+        d, panel, _ = fitted_toy(seed=47, n=20)
+        seen = []
+
+        def recording_fit(design, train_panel, options=None):
+            seen.append((design.n, train_panel.complete))
+            return fit(design, train_panel, options)
+
+        monkeypatch.setattr(crossval, "fit", recording_fit)
+        kfold_cv(d, panel, k=4, seed=0)
+        assert sorted(seen) == [(15, True)] * 4
+
+    def test_masked_bytes_across_threads_and_reruns(self, monkeypatch):
+        x, panel = masked_toy(48, n=30, p=3, m=6, missing=8)
+        d = build_design(x)
+        outputs = set()
+        for threads in ("1", "4"):
+            monkeypatch.setenv("EBSHRINK_THREADS", threads)
+            for _ in range(2):
+                outputs.add(kfold_cv(d, panel, k=5, seed=3).to_csv())
+        assert len(outputs) == 1
 
     def test_strong_signal_scores_well(self):
         rng = np.random.default_rng(41)
@@ -129,7 +194,6 @@ class TestKfoldCv:
                 CvTissueRow("liver", 7, 1e-300, 1.0),
             ),
             folds=4,
-            fold_sizes=((10, 10, 10, 10), (2, 2, 2, 1)),
         )
         expected = (
             "tissue,n_obs,pmse,r2\n"
@@ -145,16 +209,44 @@ class TestKfoldCv:
         d, panel, _ = fitted_toy()
         with pytest.raises(FoldTooSmall):
             kfold_cv(d, panel, k=1)
+        with pytest.raises(FoldTooSmall):  # more folds than the 14 rows
+            kfold_cv(d, panel, k=15)
 
-    def test_fewer_observed_than_folds(self):
+    def test_fold_leaving_a_tissue_short_is_named(self):
+        rng = np.random.default_rng(44)
+        n, k, seed = 10, 2, 3
+        x = rng.standard_normal((n, 2))
+        mask = np.ones((n, 2), dtype=bool)
+        mask[3:, 1] = False  # 3 = p+1 observed rows: any fold holding one is short
+        y = np.where(mask, rng.standard_normal((n, 2)), np.nan)
+        panel = ResponsePanel(y, mask=mask, tissue_names=["blood", "liver"])
+        held = [int(mask[f, 1].sum()) for f in documented_folds(n, k, seed)]
+        i = next(i for i, h in enumerate(held) if h > 0)
+        with pytest.raises(FoldTooSmall) as err:
+            kfold_cv(build_design(x), panel, k=k, seed=seed)
+        assert str(err.value) == (
+            f"tissue liver would train on {3 - held[i]} rows in fold {i + 1} of 2; "
+            "need at least p+1 = 3"
+        )
+
+    def test_fewer_observed_than_folds_succeeds(self):
         rng = np.random.default_rng(44)
         n, m = 12, 2
         x = rng.standard_normal((n, 2))
         mask = np.ones((n, m), dtype=bool)
-        mask[:7, 1] = False  # 5 observed rows < 6 folds
+        mask[:7, 1] = False  # 5 observed rows < 6 folds; a fold of 2 leaves >= 3
         y = np.where(mask, rng.standard_normal((n, m)), np.nan)
-        with pytest.raises(FoldTooSmall):
-            kfold_cv(build_design(x), ResponsePanel(y, mask=mask), k=6)
+        report = kfold_cv(build_design(x), ResponsePanel(y, mask=mask), k=6)
+        assert report.rows[1].n_obs == 5
+        assert np.isfinite(report.rows[1].pmse)
+
+    def test_covariate_on_one_individual_is_rank_deficient(self):
+        x = np.random.default_rng(49).standard_normal((20, 3))
+        x[:, 2] = 0.0
+        x[7, 2] = 1.0  # the fold holding out row 7 trains on a zero column
+        y = np.random.default_rng(50).standard_normal((20, 2))
+        with pytest.raises(RankDeficient, match=r"fold \d of 4: training X'X"):
+            kfold_cv(build_design(x), ResponsePanel(y), k=4)
 
     def test_training_rows_under_p_plus_one(self):
         rng = np.random.default_rng(45)
