@@ -160,6 +160,9 @@ class _SuffStats:
     outer products (in row blocks of bounded size) and one batched eigh
     reduce all tissues at once.  A complete panel has d = 1 and one shared
     basis, vecs = I of shape (1, p, p), broadcast over the tissues.
+    sigma2_floor, 1e-12 of the mean square response, bounds every sigma2
+    update from below; it moves with the response scale and keeps the
+    kernels finite on a noise-free panel.
     """
 
     def __init__(self, design, panel):
@@ -182,6 +185,10 @@ class _SuffStats:
         self.nobs = counts.astype(np.float64)
         y_obs = np.where(panel.mask, panel.y, 0.0)
         self.css = np.einsum("ij,ij->j", y_obs, y_obs)
+        self.sigma2_floor = max(
+            1e-12 * float(self.css.sum()) / (m * float(self.nobs.max())),
+            np.finfo(np.float64).tiny,
+        )
         xty = solve_triangular(low, x.T @ y_obs, lower=True).T   # rows L^-1 X_t'y_t
         if panel.complete:
             self.d = np.ones((m, p))
@@ -303,7 +310,7 @@ def _m_step_complete_core(stats, resp):
         # constrained maximizer of the objective pools all residual variation
         sigma2 = (css_total - float(t_one @ yhy) + float(t_one @ col_rss)) / (m * n)
         eta = R_FLOOR * sigma2
-    sigma2 = max(sigma2, np.finfo(np.float64).tiny)
+    sigma2 = max(sigma2, stats.sigma2_floor)
     return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
 
 
@@ -354,11 +361,15 @@ def _m_step_masked_core(stats, resp, current):
     d_pool = d.reshape(pool)[:, 0]
     d_mass = t_one.reshape(pool[:2]).sum(axis=1)[:, None] * d_pool
 
+    # read out of stats: brentq wraps score in a self-referencing closure,
+    # so what these closures capture lives on until the cycle collector runs
+    floor = stats.sigma2_floor
+
     def profile(u):
         r = math.exp(u)
         shrink = 1.0 / (1.0 + r * d_pool)
         q = q_base - r * float((w2_pool * shrink).sum())
-        return r, shrink, max(q / total_obs, np.finfo(np.float64).tiny)
+        return r, shrink, max(q / total_obs, floor)
 
     def score(u):
         _, shrink, sigma2 = profile(u)
@@ -392,8 +403,7 @@ def _m_step_masked_core(stats, resp, current):
 def _init_from_stats(stats):
     beta0 = stats.betahat.mean(axis=0)
     dof = float(np.sum(stats.nobs - stats.p))
-    floor = 1e-12 * float(stats.css.sum()) / (stats.m * float(stats.nobs.max()))
-    sigma2 = max(float(stats.rss_ols.sum()) / dof, floor, np.finfo(np.float64).tiny)
+    sigma2 = max(float(stats.rss_ols.sum()) / dof, stats.sigma2_floor)
     lt_dev = (stats.betahat - beta0) @ stats.gram_factor    # rows L'(betahat - beta0)
     spread = float(np.mean(np.sum(lt_dev**2, axis=1))) / stats.p
     eta0 = max(spread - sigma2, 10.0 * R_FLOOR * sigma2)
@@ -490,81 +500,26 @@ def fit(design, panel, options=None):
     )
 
 
-def _tissue_stats(design, y, mask):
-    """_SuffStats of one tissue: all n rows, or the observed ones under mask.
+def ols(design, panel):
+    """Every tissue's least squares on its observed rows, shape (m, p).
 
-    With a mask, y holds either all n responses (unobserved ones are never
-    read) or just the observed ones.
+    These are the statistics :func:`fit` keeps as ``FitResult.betahat``,
+    under its rules: BadShape when the panel's rows differ from the
+    design's or a tissue has fewer than p+1 observed rows, RankDeficient
+    when a tissue's observed rows hold less than 1e-12 of X'X along some
+    direction.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if mask is None:
-        if y.shape != (design.n,):
-            raise BadShape(f"response must have shape ({design.n},), got {y.shape}")
-        return _SuffStats(design, ResponsePanel(y[:, None]))
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (design.n,):
-        raise BadShape(f"mask must have shape ({design.n},), got {mask.shape}")
-    if y.shape != (design.n,):
-        if y.shape != (int(mask.sum()),):
-            raise BadShape("response length matches neither n nor the mask count")
-        col = np.full(design.n, np.nan)
-        col[mask] = y
-        y = col
-    return _SuffStats(design, ResponsePanel(y[:, None], mask=mask[:, None]))
+    return _SuffStats(design, panel).betahat
 
 
-def ols(design, y, mask=None):
-    """Least-squares coefficients on the observed rows.
+def tissue_posterior(design, panel, params):
+    """Every tissue's TissuePosterior at fixed prior parameters, in panel order.
 
-    Parameters
-    ----------
-    design : Design
-    y : array_like
-        Either all n responses, or just the observed ones when ``mask``
-        is given.
-    mask : array_like of bool, optional
-        Observation indicator of length n.
-
-    Returns
-    -------
-    ndarray of shape (p,)
-
-    Raises
-    ------
-    BadShape
-        If fewer than p+1 rows are observed.
-    RankDeficient
-        If the observed rows hold less than 1e-12 of X'X along some
-        direction, the rule :func:`fit` applies to every tissue.
+    Built from the statistics and E-step :func:`fit` uses, so at a fit's
+    parameters it equals the fit's ``posteriors``.  Raises as :func:`ols`
+    does, and BadShape when params.beta does not have p entries.
     """
-    return _tissue_stats(design, y, mask).betahat[0]
-
-
-def tissue_posterior(design, y, params, mask=None):
-    """Full posterior summary for one tissue.
-
-    Parameters
-    ----------
-    design : Design
-    y : array_like
-        All n responses, or the observed ones when ``mask`` is given.
-    params : PriorParams
-    mask : array_like of bool, optional
-        Observation indicator of length n; None means fully observed.
-
-    Returns
-    -------
-    TissuePosterior
-
-    Raises
-    ------
-    BadShape
-        If fewer than p+1 rows are observed, or params.beta does not have p
-        entries.
-    RankDeficient
-        Under the same rule as :func:`ols`.
-    """
-    stats = _tissue_stats(design, y, mask)
+    stats = _SuffStats(design, panel)
     stats.check_mean(params)
     resp, _, lg0, lg1 = _estep_core(stats, params)
-    return _summarize(stats, params, resp, lg0, lg1)[0]
+    return _summarize(stats, params, resp, lg0, lg1)

@@ -328,10 +328,10 @@ def read_fit_json(path):
     ParseError
         Malformed JSON, missing or mistyped fields (numbers and vector
         entries must be JSON numbers, ``tissue`` a JSON string,
-        ``iterations`` a JSON integer, ``converged`` a JSON boolean), no
-        posteriors, an h outside [0, 1], a post_mean whose length differs
-        from beta's, or an iteration count that differs from the length of
-        the trace.
+        ``iterations`` a JSON integer, ``converged`` a JSON boolean), a
+        tau1 outside [0, 1], a negative eta, no posteriors, an h outside
+        [0, 1], a post_mean whose length differs from beta's, or an
+        iteration count that differs from the length of the trace.
     NonFinite
         Non-finite parameters, posterior summaries or log-likelihoods, or a
         conditional mean post_mean / h that overflows.
@@ -343,6 +343,10 @@ def read_fit_json(path):
         tau1, eta, sigma2 = _numbers(
             [fields["tau1"], fields["eta"], fields["sigma2"]], path, "tau1, eta or sigma2"
         ).tolist()
+        if not 0.0 <= tau1 <= 1.0:
+            raise ParseError(f"{path}: tau1 = {tau1!r} outside [0, 1]")
+        if eta < 0.0:
+            raise ParseError(f"{path}: eta = {eta!r} is negative")
         beta = _numbers(fields["beta"], path, "beta")
         params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
         if not doc["posteriors"]:

@@ -370,14 +370,17 @@ def run_replications(config, reps, options=None):
 
 @dataclass(frozen=True)
 class RiskDraw:
-    """One draw from the generative model, handed to a risk estimator."""
+    """Every replication of a risk study, handed to a risk estimator at once.
+
+    Column i of ``panel`` and of ``true_beta`` is replication i: one tissue
+    drawn from the generative model over the shared design.  An estimator
+    returns its estimates as a (p, reps) array in the same column order.
+    """
 
     design: Design
-    y: np.ndarray        # (n,) with NaN at unobserved rows
-    mask: np.ndarray     # (n,) bool, or None when complete
-    params: PriorParams  # the true prior parameters
-    active: bool
-    true_beta: np.ndarray
+    panel: ResponsePanel   # (n, reps), masked when the scenario hides rows
+    params: PriorParams    # the true prior parameters
+    true_beta: np.ndarray  # (p, reps)
 
 
 @dataclass(frozen=True)
@@ -420,26 +423,33 @@ def simulate_model_panel(design, params, m, rng, missing_frac=0.0):
 
 
 def ols_estimator(draw):
-    """Per-tissue least squares on the observed rows."""
-    return ols(draw.design, draw.y, mask=draw.mask)
+    """Each replication's least squares on its observed rows."""
+    return ols(draw.design, draw.panel).T
 
 
 def oracle_posterior_estimator(draw):
-    """Posterior mean under the true prior parameters."""
-    return tissue_posterior(draw.design, draw.y, draw.params, mask=draw.mask).post_mean
+    """Each replication's posterior mean under the true prior parameters."""
+    posteriors = tissue_posterior(draw.design, draw.panel, draw.params)
+    return np.column_stack([tp.post_mean for tp in posteriors])
 
 
 def mc_bayes_risk(estimator, config, reps, delta=None):
     """Monte Carlo Bayes risk E[(est - beta)' Delta (est - beta)].
 
-    The design is drawn once (the risk is conditional on X); each
-    replication draws one tissue from the generative model, applies the
-    estimator, and scores the weighted squared error.  Delta defaults to
-    the identity.
+    The design is drawn once (the risk is conditional on X).  Replication i
+    draws one tissue from the generative model with its own child seed;
+    the replications are stacked as the columns of one panel, the
+    estimator is called once on all of them, and each column's weighted
+    squared error is one loss.  Delta defaults to the identity.
 
     Returns
     -------
     RiskEstimate
+
+    Raises
+    ------
+    BadShape
+        If the estimates do not have shape (p, reps).
     """
     if reps < 2:
         raise BadConfig(f"reps must be >= 2 for a standard error, got {reps}")
@@ -451,25 +461,25 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
             raise BadShape(f"delta must be ({config.p}, {config.p})")
     design = build_design(_draw_x(np.random.default_rng(_mix_seed(config.seed, 0)), config))
     params = model_prior_params(config)
-
-    def one(i):
-        rng = np.random.default_rng(_mix_seed(config.seed, 1, i))
-        panel, true_beta, active = simulate_model_panel(
-            design, params, 1, rng, missing_frac=config.missing_frac
+    panels, betas, _ = zip(*(
+        simulate_model_panel(
+            design, params, 1, np.random.default_rng(_mix_seed(config.seed, 1, i)),
+            missing_frac=config.missing_frac,
         )
-        mask = None if panel.complete else panel.mask[:, 0]
-        draw = RiskDraw(
-            design=design,
-            y=panel.y[:, 0],
-            mask=mask,
-            params=params,
-            active=bool(active[0]),
-            true_beta=true_beta[:, 0],
-        )
-        diff = np.asarray(estimator(draw), dtype=np.float64) - draw.true_beta
-        return float(diff @ delta_mat @ diff)
-
-    losses = np.asarray(parallel_map(one, range(reps)))
+        for i in range(reps)
+    ))
+    panel = ResponsePanel(
+        y=np.hstack([q.y for q in panels]), mask=np.hstack([q.mask for q in panels])
+    )
+    true_beta = np.hstack(betas)
+    est = np.asarray(
+        estimator(RiskDraw(design=design, panel=panel, params=params, true_beta=true_beta)),
+        dtype=np.float64,
+    )
+    if est.shape != true_beta.shape:
+        raise BadShape(f"estimates have shape {est.shape}, expected {true_beta.shape}")
+    diff = est - true_beta
+    losses = np.einsum("ji,jk,ki->i", diff, delta_mat, diff)
     return RiskEstimate(
         risk=float(losses.mean()),
         stderr=float(losses.std(ddof=1) / np.sqrt(reps)),

@@ -34,7 +34,7 @@ from ebshrink.simulate import (
     simulate_setting,
 )
 
-from conftest import record_criterion
+from conftest import one_tissue, record_criterion
 from oracles import (
     dense_component_logliks,
     dense_responsibility,
@@ -142,7 +142,7 @@ class TestCriterion5:
                 eta=float(rng.uniform(0.5, 4.0)),
                 sigma2=float(rng.uniform(0.5, 2.0)),
             )
-            tp = tissue_posterior(build_design(x), y, params)
+            tp = tissue_posterior(build_design(x), one_tissue(y), params)[0]
             ref = quad_posterior_mean_1d(x, y, params)
             worst_quad = max(worst_quad, abs(tp.post_mean[0] - ref))
 
@@ -163,7 +163,7 @@ class TestCriterion5:
                 sigma2=float(rng.uniform(0.5, 2.0)),
             )
             d = build_design(x)
-            tp = tissue_posterior(d, y, params, mask=mask)
+            tp = tissue_posterior(d, one_tissue(y, mask), params)[0]
             ref_h = dense_responsibility(x, y, mask, params)
             ref0, ref1 = dense_component_logliks(x, y, mask, params)
             worst_dense = max(
@@ -314,7 +314,7 @@ class TestCriterion8:
                 panel, _, _ = simulate_model_panel(design, params, m, rng)
                 res = fit(design, panel)
                 fitted = res.posteriors[0].post_mean
-                oracle = tissue_posterior(design, panel.y[:, 0], params).post_mean
+                oracle = tissue_posterior(design, panel, params)[0].post_mean
                 dists.append(float(np.linalg.norm(fitted - oracle)))
             medians.append(float(np.median(dists)))
         increases = [

@@ -21,6 +21,7 @@ from ebshrink.em import (
     init_params,
     m_step_complete,
     m_step_masked,
+    ols,
     tissue_posterior,
 )
 from ebshrink.errors import BadShape, DegenerateResponsibilities, RankDeficient
@@ -66,15 +67,15 @@ SHORT_PANEL_CALLS = {
     "m_step_complete": lambda d, panel, resp, params: m_step_complete(d, panel, resp),
     "m_step_masked": lambda d, panel, resp, params: m_step_masked(d, panel, resp, params),
     "kfold_cv": lambda d, panel, resp, params: kfold_cv(d, panel, k=2),
+    "ols": lambda d, panel, resp, params: ols(d, panel),
+    "tissue_posterior": lambda d, panel, resp, params: tissue_posterior(d, panel, params),
 }
 
 # entry points called with a prior mean of 5 entries at p = 3; the masked
 # M-step is tried with and without signal mass
 WIDE_BETA_CALLS = {
     "e_step": lambda d, panel, resp, params: e_step(d, panel, params),
-    "tissue_posterior": lambda d, panel, resp, params: tissue_posterior(
-        d, panel.y[:, 0], params, mask=panel.mask[:, 0]
-    ),
+    "tissue_posterior": lambda d, panel, resp, params: tissue_posterior(d, panel, params),
     "m_step_masked": lambda d, panel, resp, params: m_step_masked(d, panel, resp, params),
     "m_step_masked_no_mass": lambda d, panel, resp, params: m_step_masked(
         d, panel, np.column_stack((np.ones(panel.m), np.zeros(panel.m))), params
@@ -221,7 +222,7 @@ class TestSuffStats:
         params = random_params(rng, x.shape[1])
         col = np.where(mask[:, 0], y[:, 0], np.nan)[:, None]
         self.assert_matches_loop(d, ResponsePanel(col, mask=mask[:, :1]), params.beta)
-        got = tissue_posterior(d, y[:, 0], params, mask=mask[:, 0])
+        got = tissue_posterior(d, ResponsePanel(col, mask=mask[:, :1]), params)[0]
         ref = loop_suff_stats(x, np.nan_to_num(col), mask[:, :1])
         w2, rss = ref.residual_stats(params.beta)
         lg0, lg1 = kernels.component_loglik(
@@ -527,6 +528,34 @@ class TestFit:
         assert loglik == res.loglik_trace[-1]
         assert [tp.h for tp in res.posteriors] == list(resp[:, 1])
         assert [tp.log_bf for tp in res.posteriors] == list(lg0 - lg1)
+
+    @pytest.mark.parametrize("missing", [0, 5])
+    def test_ols_and_tissue_posterior_are_the_fit_statistics(self, missing):
+        rng = np.random.default_rng(92)
+        d, panel = random_problem(rng, n=20, p=3, m=8, missing=missing)
+        res = fit(d, panel)
+        assert np.array_equal(ols(d, panel), res.betahat)
+        got = tissue_posterior(d, panel, res.params)
+        assert len(got) == len(res.posteriors)
+        for tp, want in zip(got, res.posteriors):
+            for name in ("h", "log_bf", "log_odds", "post_mean"):
+                assert np.array_equal(getattr(tp, name), getattr(want, name))
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_noise_free_panel_fits_finitely(self, missing):
+        # y = XB exactly: sigma2 falls toward its floor, 1e-12 of the mean
+        # square response, where the kernels stay finite (an overflow would
+        # raise here as a RuntimeWarning)
+        rng = np.random.default_rng(93)
+        d, panel = random_problem(rng, n=20, p=3, m=5, missing=missing)
+        coefs = rng.standard_normal((3, 5))
+        y = np.where(panel.mask, d.x @ coefs, np.nan)
+        res = fit(d, ResponsePanel(y, mask=panel.mask))
+        assert res.converged and np.all(np.isfinite(res.loglik_trace))
+        floor = 1e-12 * np.sum(y[panel.mask] ** 2) / (5 * panel.observed_counts().max())
+        assert floor <= res.params.sigma2 <= 1e-9
+        post_mean = np.column_stack([tp.post_mean for tp in res.posteriors])
+        assert_allclose(post_mean, coefs, rtol=1e-6)
 
     def test_max_iter_ends_on_estep(self):
         # the last trace entry and h belong to the returned params

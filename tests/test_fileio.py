@@ -278,12 +278,17 @@ class TestFitJson:
             (lambda text: re.sub(r'"tissue": "[^"]*"', '"tissue": 7', text, count=1), ParseError),
             (lambda text: re.sub(r'"sigma2": [^}]*', '"sigma2": 1' + "0" * 400, text),
              ParseError),
+            # out-of-range parameters are refused, not clamped into range
+            (lambda text: re.sub(r'"tau1": [^,]*', '"tau1": 5.0', text), ParseError),
+            (lambda text: re.sub(r'"tau1": [^,]*', '"tau1": -3.0', text), ParseError),
+            (lambda text: re.sub(r'"eta": [^,]*', '"eta": -7.0', text), ParseError),
         ],
         ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
              "nan_trace", "iterations_mismatch", "nan_beta", "string_converged",
              "fractional_iterations", "no_posteriors", "cond_mean_overflow",
              "string_h", "boolean_h", "string_tau1", "string_beta", "string_trace",
-             "integer_tissue", "integer_beyond_float"],
+             "integer_tissue", "integer_beyond_float", "tau1_above_one", "negative_tau1",
+             "negative_eta"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()

@@ -8,6 +8,7 @@ from ebshrink.errors import BadShape, NonFinite, RankDeficient
 from ebshrink.em import FitOptions, fit, ols
 from ebshrink.linalg import _checked_cholesky, build_design
 
+from conftest import one_tissue
 from test_em import collinear_panel
 
 
@@ -55,24 +56,23 @@ class TestBuildDesign:
 class TestOls:
     def test_hand_full(self):
         d = build_design([[1.0], [1.0]])
-        assert_allclose(ols(d, [1.0, 3.0]), [2.0])
+        assert_allclose(ols(d, one_tissue([1.0, 3.0])), [[2.0]])
 
     def test_zero_response(self):
         rng = np.random.default_rng(0)
         d = random_design(rng, 7, 3)
-        assert_allclose(ols(d, np.zeros(7)), np.zeros(3), atol=0)
+        assert_allclose(ols(d, one_tissue(np.zeros(7))), np.zeros((1, 3)), atol=0)
 
     def test_hand_masked(self):
         d = build_design([[1.0], [1.0], [1.0]])
-        assert_allclose(ols(d, [1.0, 3.0, 5.0], mask=[True, False, True]), [3.0])
-        assert_allclose(ols(d, [1.0, 5.0], mask=[True, False, True]), [3.0])
+        assert_allclose(ols(d, one_tissue([1.0, 3.0, 5.0], [True, False, True])), [[3.0]])
 
     def test_normal_equations(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             d = random_design(rng, 12, 4)
             y = rng.standard_normal(12)
-            beta = ols(d, y)
+            beta = ols(d, one_tissue(y))[0]
             lhs = d.gram @ beta - d.x.T @ y
             assert np.max(np.abs(lhs)) <= 1e-8 * np.max(np.abs(d.x.T @ y))
 
@@ -82,38 +82,37 @@ class TestOls:
         y = rng.standard_normal(10)
         mask = np.array([True] * 6 + [False] * 4)
         ref, *_ = np.linalg.lstsq(d.x[mask], y[mask], rcond=None)
-        assert_allclose(ols(d, y, mask=mask), ref, rtol=1e-9)
+        assert_allclose(ols(d, one_tissue(y, mask))[0], ref, rtol=1e-9)
 
     def test_masked_rank_deficient(self):
         # p+1 = 4 observed rows, all with a zero third coordinate
         x = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]]
         d = build_design(np.array(x, dtype=np.float64))
         with pytest.raises(RankDeficient, match="observed-row"):
-            ols(d, np.arange(6.0), mask=[True] * 4 + [False] * 2)
+            ols(d, one_tissue(np.arange(6.0), [True] * 4 + [False] * 2))
 
     def test_p_observed_rows_bad_shape(self):
         rng = np.random.default_rng(13)
         d = random_design(rng, 6, 3)
         y = rng.standard_normal(6)
         with pytest.raises(BadShape, match="need at least p\\+1 = 4"):
-            ols(d, y, mask=[True] * 3 + [False] * 3)
+            ols(d, one_tissue(y, [True] * 3 + [False] * 3))
 
     def test_masked_pivot_check_is_scale_free(self):
         # t2's observed rows nearly satisfy column 3 = column 0 + column 1;
         # rescaling the columns leaves that share, and the fit, unchanged
         x, panel = collinear_panel(1e-3)
-        y, mask = panel.y[:, 1], panel.mask[:, 1]
         scale = np.array([100.0, 1.0, 1.0, 0.01])
-        base = ols(build_design(x), y, mask=mask)
-        scaled = ols(build_design(x * scale), y, mask=mask)
+        base = ols(build_design(x), panel)
+        scaled = ols(build_design(x * scale), panel)
         assert_allclose(scaled * scale, base, rtol=1e-8)
 
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_masked_collinear_rows_rejected(self, scale):
         x, panel = collinear_panel(0.0)
         x[:, 0] *= scale
-        with pytest.raises(RankDeficient, match="observed-row"):
-            ols(build_design(x), panel.y[:, 1], mask=panel.mask[:, 1])
+        with pytest.raises(RankDeficient, match="observed-row X'X for tissue t2"):
+            ols(build_design(x), panel)
 
     @pytest.mark.parametrize("noise, rejected", [(0.0, True), (3e-6, True), (1e-3, False)])
     def test_one_rank_rule_with_fit(self, noise, rejected):
@@ -124,7 +123,7 @@ class TestOls:
         d = build_design(x)
         rejection = "observed-row X'X for tissue t[0-9] is numerically rank deficient"
         calls = [
-            lambda: ols(d, panel.y[:, 1], mask=panel.mask[:, 1]),
+            lambda: ols(d, panel),
             lambda: fit(d, panel, FitOptions(max_iter=2)),
         ]
         for call in calls:

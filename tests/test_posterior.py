@@ -9,6 +9,7 @@ from ebshrink.errors import BadShape, NonFinite
 from ebshrink.linalg import build_design
 from ebshrink.posterior import PriorParams
 
+from conftest import one_tissue
 from oracles import (
     dense_component_logliks,
     dense_responsibility,
@@ -46,7 +47,7 @@ class TestTissuePosterior:
         d = build_design(rng.standard_normal((8, 2)))
         y = rng.standard_normal(8)
         params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=0.0, sigma2=1.0)
-        tp = tissue_posterior(d, y, params)
+        tp = tissue_posterior(d, one_tissue(y), params)[0]
         assert abs(tp.h - 0.5) < 1e-6
         assert abs(tp.log_bf) < 1e-6
 
@@ -57,7 +58,7 @@ class TestTissuePosterior:
         y = rng.standard_normal(9) * 2.0
         beta0 = rng.standard_normal(3)
         params = PriorParams(tau1=1.0 - 1e-6, beta=beta0, eta=1.5, sigma2=1.5)
-        tp = tissue_posterior(d, y, params)
+        tp = tissue_posterior(d, one_tissue(y), params)[0]
         betahat = np.linalg.lstsq(d.x, y, rcond=None)[0]
         assert_allclose(tp.post_mean, 0.5 * (beta0 + betahat), rtol=1e-5)
 
@@ -74,7 +75,7 @@ class TestTissuePosterior:
                 sigma2=float(rng.uniform(0.5, 2.0)),
             )
             ref = quad_posterior_mean_1d(x, y, params)
-            tp = tissue_posterior(d, y, params)
+            tp = tissue_posterior(d, one_tissue(y), params)[0]
             assert_allclose(tp.post_mean[0], ref, atol=1e-6, rtol=1e-6)
 
     def test_h_matches_dense_oracle(self):
@@ -94,7 +95,7 @@ class TestTissuePosterior:
                     eta=float(rng.uniform(0.2, 3.0)),
                     sigma2=float(rng.uniform(0.5, 2.0)),
                 )
-                tp = tissue_posterior(d, y, params, mask=mask)
+                tp = tissue_posterior(d, one_tissue(y, mask), params)[0]
                 ref_h = dense_responsibility(x, y, mask, params)
                 assert_allclose(tp.h, ref_h, atol=1e-9)
 
@@ -105,7 +106,7 @@ class TestTissuePosterior:
         params = PriorParams(
             tau1=0.3, beta=rng.standard_normal(3), eta=2.0, sigma2=0.8
         )
-        tp = tissue_posterior(d, y, params)
+        tp = tissue_posterior(d, one_tissue(y), params)[0]
         assert 0.0 <= tp.h <= 1.0
         assert_allclose(tp.post_mean, tp.h * tp.cond_mean_active, rtol=0, atol=1e-12)
         assert_allclose(
@@ -119,8 +120,8 @@ class TestTissuePosterior:
         d = build_design(rng.standard_normal((8, 2)))
         y = rng.standard_normal(8)
         params = PriorParams(tau1=0.4, beta=np.ones(2), eta=1.0, sigma2=1.2)
-        tp_full = tissue_posterior(d, y, params)
-        tp_masked = tissue_posterior(d, y, params, mask=np.ones(8, dtype=bool))
+        tp_full = tissue_posterior(d, one_tissue(y), params)[0]
+        tp_masked = tissue_posterior(d, one_tissue(y, np.ones(8, dtype=bool)), params)[0]
         assert_allclose(tp_masked.h, tp_full.h, rtol=1e-10)
         assert_allclose(tp_masked.post_mean, tp_full.post_mean, rtol=1e-10, atol=1e-12)
 
@@ -132,7 +133,7 @@ class TestTissuePosterior:
         y = rng.standard_normal(9)
         mask = np.array([True] * 6 + [False] * 3)
         params = PriorParams(tau1=0.5, beta=np.array([1.0, -1.0]), eta=2.0, sigma2=0.7)
-        got = tissue_posterior(d, y, params, mask=mask).cond_mean_active
+        got = tissue_posterior(d, one_tissue(y, mask), params)[0].cond_mean_active
         xm = x[mask]
         lhs = d.gram / params.eta + xm.T @ xm / params.sigma2
         rhs = d.gram @ params.beta / params.eta + xm.T @ y[mask] / params.sigma2
@@ -143,14 +144,12 @@ class TestTissuePosterior:
         d = build_design(np.random.default_rng(62).standard_normal((6, 2)))
         params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=1.0, sigma2=1.0)
         with pytest.raises(NonFinite):
-            tissue_posterior(d, np.array([np.nan, 0, 0, 0, 0, 0.0]), params)
+            tissue_posterior(d, one_tissue([np.nan, 0, 0, 0, 0, 0.0]), params)
         with pytest.raises(BadShape):
-            tissue_posterior(d, np.zeros(5), params)
-        with pytest.raises(BadShape):
-            tissue_posterior(d, np.zeros(6), params, mask=np.ones(5, dtype=bool))
+            tissue_posterior(d, one_tissue(np.zeros(5)), params)
         # two observed rows are fewer than p+1 = 3
         with pytest.raises(BadShape):
-            tissue_posterior(d, np.zeros(2), params, mask=[True, True] + [False] * 4)
+            tissue_posterior(d, one_tissue(np.zeros(6), [True, True] + [False] * 4), params)
 
 
 class TestLogBayesFactor:
@@ -159,7 +158,7 @@ class TestLogBayesFactor:
         d = build_design(rng.standard_normal((7, 2)))
         y = rng.standard_normal(7)
         params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=0.0, sigma2=1.0)
-        assert abs(tissue_posterior(d, y, params).log_bf) < 1e-6
+        assert abs(tissue_posterior(d, one_tissue(y), params)[0].log_bf) < 1e-6
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(58)
@@ -174,14 +173,15 @@ class TestLogBayesFactor:
                 sigma2=float(rng.uniform(0.5, 2.0)),
             )
             ref0, ref1 = dense_component_logliks(x, y, None, params)
-            assert_allclose(tissue_posterior(d, y, params).log_bf, ref0 - ref1, atol=1e-9)
+            tp = tissue_posterior(d, one_tissue(y), params)[0]
+            assert_allclose(tp.log_bf, ref0 - ref1, atol=1e-9)
 
     def test_even_prior_odds(self):
         rng = np.random.default_rng(59)
         d = build_design(rng.standard_normal((6, 2)))
         y = rng.standard_normal(6)
         params = PriorParams(tau1=0.5, beta=np.ones(2), eta=1.0, sigma2=1.0)
-        tp = tissue_posterior(d, y, params)
+        tp = tissue_posterior(d, one_tissue(y), params)[0]
         assert tp.log_odds == pytest.approx(tp.log_bf, abs=1e-12)
 
     def test_continuity_in_y(self):
@@ -190,8 +190,8 @@ class TestLogBayesFactor:
         d = build_design(rng.standard_normal((8, 2)))
         y = rng.standard_normal(8)
         params = PriorParams(tau1=0.5, beta=np.ones(2) * 0.3, eta=1.0, sigma2=1.0)
-        base = tissue_posterior(d, y, params).log_bf
-        bumped = tissue_posterior(d, y + 1e-6, params).log_bf
+        base = tissue_posterior(d, one_tissue(y), params)[0].log_bf
+        bumped = tissue_posterior(d, one_tissue(y + 1e-6), params)[0].log_bf
         assert abs(bumped - base) <= 1e-3
 
     def test_h_equals_direct_ratio(self):
@@ -201,7 +201,7 @@ class TestLogBayesFactor:
         d = build_design(x)
         y = rng.standard_normal(6)
         params = PriorParams(tau1=0.5, beta=np.zeros(2), eta=0.8, sigma2=1.0)
-        tp = tissue_posterior(d, y, params)
+        tp = tissue_posterior(d, one_tissue(y), params)[0]
         ref0, ref1 = dense_component_logliks(x, y, None, params)
         g0, g1 = np.exp(ref0), np.exp(ref1)
         direct = params.tau1 * g1 / (params.tau0 * g0 + params.tau1 * g1)

@@ -258,6 +258,35 @@ class TestBayesRisk:
         est = mc_bayes_risk(lambda d: d.true_beta, cfg, reps=20, delta=delta)
         assert est.risk == 0.0
 
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_batched_draws_match_one_at_a_time(self, setting):
+        from ebshrink.simulate import _mix_seed
+
+        cfg = SimConfig.for_setting(setting, n=30, p=5, m=1, seed=34)
+        seen = []
+
+        def recording(draw):
+            seen.append(draw)
+            return draw.true_beta
+
+        assert mc_bayes_risk(recording, cfg, reps=20).risk == 0.0
+        (draw,) = seen
+        assert draw.panel.y.shape == (cfg.n, 20) and draw.true_beta.shape == (cfg.p, 20)
+        assert draw.panel.complete == (setting == 1)
+        for i in range(4):
+            rng = np.random.default_rng(_mix_seed(cfg.seed, 1, i))
+            panel, true_beta, _ = simulate_model_panel(
+                draw.design, draw.params, 1, rng, missing_frac=cfg.missing_frac
+            )
+            assert np.array_equal(draw.panel.y[:, i : i + 1], panel.y, equal_nan=True)
+            assert np.array_equal(draw.panel.mask[:, i : i + 1], panel.mask)
+            assert np.array_equal(draw.true_beta[:, i : i + 1], true_beta)
+
+    def test_estimates_of_wrong_shape_rejected(self):
+        # one tissue's estimate would broadcast against every replication
+        with pytest.raises(BadShape, match="estimates have shape"):
+            mc_bayes_risk(lambda draw: draw.true_beta[:, 0], self.risk_config(), reps=5)
+
     def test_ols_risk_exact_orthonormal(self):
         q, _ = np.linalg.qr(np.random.default_rng(31).standard_normal((20, 4)))
         assert ols_risk_exact(build_design(q), 2.5) == pytest.approx(10.0)
