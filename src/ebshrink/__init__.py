@@ -41,7 +41,7 @@ from .fileio import (
     write_matrix_tsv,
 )
 from .linalg import Design, build_design
-from .posterior import PriorParams, TissuePosterior
+from .posterior import PriorParams
 from .simulate import (
     RiskEstimate,
     Setting,
@@ -84,7 +84,6 @@ __all__ = [
     "SimConfig",
     "SimData",
     "SimReport",
-    "TissuePosterior",
     "auc",
     "build_design",
     "e_step",

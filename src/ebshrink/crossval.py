@@ -23,7 +23,8 @@ from .simulate import mse as pmse
 def predict(x_new, fit_result):
     """Posterior-mean predictions at new rows, shape (n_new, m)."""
     x_new = np.asarray(x_new, dtype=np.float64)
-    coefs = np.column_stack([tp.post_mean for tp in fit_result.posteriors])
+    # C-contiguous: a product with the strided (p, m) view rounds differently
+    coefs = np.ascontiguousarray(fit_result.posteriors.post_mean.T)
     if x_new.ndim != 2 or x_new.shape[1] != coefs.shape[0]:
         raise BadShape(
             f"new covariates must have {coefs.shape[0]} columns, got shape {x_new.shape}"

@@ -31,7 +31,7 @@ from scipy.special import expit
 from . import kernels
 from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
 from .linalg import PIVOT_RTOL, _checked_cholesky
-from .posterior import R_FLOOR, PriorParams, TissuePosterior
+from .posterior import R_FLOOR, PriorParams, posterior_table
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
@@ -129,15 +129,16 @@ class FitResult:
     loglik_trace holds the observed-data log-likelihood at the start of
     every EM iteration; iterations == len(loglik_trace).  The loop ends on
     an E-step, so the last entry is the log-likelihood at ``params`` and
-    the posteriors come from that same E-step.  converged=False just means
-    max_iter was hit, the result is still usable.  betahat, of shape
-    (m, p), holds every tissue's least squares on its observed rows (the
-    fit's own statistics); it is None on a result loaded from a fit report,
-    which does not store it.
+    the posteriors come from that same E-step; they are the read-only
+    :func:`~ebshrink.posterior.posterior_table`, a row per tissue in panel
+    order.  converged=False just means max_iter was hit, the result is
+    still usable.  betahat, of shape (m, p), holds every tissue's least
+    squares on its observed rows (the fit's own statistics); it is None on
+    a result loaded from a fit report, which does not store it.
     """
 
     params: PriorParams
-    posteriors: list
+    posteriors: np.recarray
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
@@ -185,8 +186,14 @@ class _SuffStats:
         self.nobs = counts.astype(np.float64)
         y_obs = np.where(panel.mask, panel.y, 0.0)
         self.css = np.einsum("ij,ij->j", y_obs, y_obs)
+        # a tissue's pb**2 / d sums to at most its css: a finite total keeps them finite
+        with np.errstate(over="ignore"):
+            css_total = float(self.css.sum())
+        if not math.isfinite(css_total):
+            t = panel.tissue_names[int(np.argmax(self.css))]
+            raise NonFinite(f"squared responses overflow float range, most at tissue {t}")
         self.sigma2_floor = max(
-            1e-12 * float(self.css.sum()) / (m * float(self.nobs.max())),
+            1e-12 * css_total / (m * float(self.nobs.max())),
             np.finfo(np.float64).tiny,
         )
         xty = solve_triangular(low, x.T @ y_obs, lower=True).T   # rows L^-1 X_t'y_t
@@ -248,7 +255,7 @@ def _estep_core(stats, params):
 
 
 def _summarize(stats, params, resp, lg0, lg1):
-    """Per-tissue posteriors from one E-step's terms at ``params``.
+    """Every tissue's posterior table from one E-step's terms at ``params``.
 
     h is the E-step responsibility itself.  Given association, the
     whitened coefficients L'b_t have prior N(L'beta, eta I) and precision
@@ -263,16 +270,7 @@ def _summarize(stats, params, resp, lg0, lg1):
     log_bf = lg0 - lg1
     log_odds = log_bf + (math.log(params.tau0) - math.log(params.tau1))
     h = resp[:, 1]
-    return [
-        TissuePosterior(
-            h=float(h[t]),
-            post_mean=h[t] * cond[t],
-            cond_mean_active=cond[t],
-            log_bf=float(log_bf[t]),
-            log_odds=float(log_odds[t]),
-        )
-        for t in range(stats.m)
-    ]
+    return posterior_table(h, h[:, None] * cond, cond, log_bf, log_odds)
 
 
 def _check_resp(resp, m):
@@ -513,9 +511,11 @@ def ols(design, panel):
 
 
 def tissue_posterior(design, panel, params):
-    """Every tissue's TissuePosterior at fixed prior parameters, in panel order.
+    """Every tissue's posterior at fixed prior parameters, one table row each.
 
-    Built from the statistics and E-step :func:`fit` uses, so at a fit's
+    Returns the read-only record array of
+    :func:`~ebshrink.posterior.posterior_table`, rows in panel order.  Built
+    from the statistics and E-step :func:`fit` uses, so at a fit's
     parameters it equals the fit's ``posteriors``.  Raises as :func:`ols`
     does, and BadShape when params.beta does not have p entries.
     """

@@ -25,7 +25,7 @@ import numpy as np
 
 from .em import FitResult
 from .errors import NaInCovariates, NonFinite, ParseError
-from .posterior import PriorParams, TissuePosterior
+from .posterior import PriorParams, posterior_table
 
 
 def _cell(c):
@@ -206,10 +206,9 @@ def write_fit_json(path, result, tissue_names):
 
     A non-finite number raises ValueError before the file is opened.
     """
-    if len(tissue_names) != len(result.posteriors):
-        raise ValueError(
-            f"{len(tissue_names)} names for {len(result.posteriors)} posteriors"
-        )
+    post = result.posteriors
+    if len(tissue_names) != len(post):
+        raise ValueError(f"{len(tissue_names)} names for {len(post)} posteriors")
     doc = {
         "params": {
             "tau1": result.params.tau1,
@@ -218,14 +217,12 @@ def write_fit_json(path, result, tissue_names):
             "sigma2": result.params.sigma2,
         },
         "posteriors": [
-            {
-                "tissue": str(name),
-                "h": tp.h,
-                "post_mean": list(tp.post_mean),
-                "log_bf": tp.log_bf,
-                "log_odds": tp.log_odds,
-            }
-            for name, tp in zip(tissue_names, result.posteriors)
+            {"tissue": str(name), "h": h, "post_mean": post_mean, "log_bf": log_bf,
+             "log_odds": log_odds}
+            for name, h, post_mean, log_bf, log_odds in zip(
+                tissue_names, post.h.tolist(), post.post_mean.tolist(),
+                post.log_bf.tolist(), post.log_odds.tolist(),
+            )
         ],
         "loglik_trace": list(result.loglik_trace),
         "iterations": result.iterations,
@@ -235,10 +232,10 @@ def write_fit_json(path, result, tissue_names):
 
 
 def _numbers(values, path, field):
-    """A JSON list of finite numbers as a float64 array, else ParseError or NonFinite."""
+    """A nonempty JSON list of finite numbers as a float64 array, else ParseError or NonFinite."""
     # exact types: a string or a boolean (bool subclasses int) is not a number
-    if type(values) is not list or not set(map(type, values)) <= {int, float}:
-        raise ParseError(f"{path}: {field}: expected JSON numbers")
+    if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+        raise ParseError(f"{path}: {field}: expected a nonempty list of JSON numbers")
     out = np.array(values, dtype=np.float64)
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"{path}: {field} is not finite")
@@ -268,7 +265,7 @@ def _check_entry(entry, path, shape):
 
 
 def _posteriors(entries, path, shape):
-    """Names and posteriors of all report entries, checked in one stacked pass.
+    """Names and posterior table of all report entries, checked in one stacked pass.
 
     Only when that pass finds a fault are the entries walked one at a time,
     so the error names the first bad entry.
@@ -303,11 +300,7 @@ def _posteriors(entries, path, shape):
         for entry in entries:
             _check_entry(entry, path, shape)
         raise RuntimeError(f"{path}: the stacked check failed where no entry is at fault")
-    posteriors = [
-        TissuePosterior(*fields)
-        for fields in zip(h.tolist(), post_mean, cond, log_bf.tolist(), log_odds.tolist())
-    ]
-    return names, posteriors
+    return names, posterior_table(h, post_mean, cond, log_bf, log_odds)
 
 
 def read_fit_json(path):
@@ -316,6 +309,9 @@ def read_fit_json(path):
     Returns
     -------
     (result, tissue_names) : FitResult, list of str
+        ``result.posteriors`` is the read-only record array of
+        :func:`~ebshrink.posterior.posterior_table`, one row per report
+        entry in file order; ``result.betahat`` is None.
 
     The conditional means are reconstructed as post_mean / h; when h
     underflows to zero the conditional mean is unrecoverable and zeros
@@ -329,9 +325,10 @@ def read_fit_json(path):
         Malformed JSON, missing or mistyped fields (numbers and vector
         entries must be JSON numbers, ``tissue`` a JSON string,
         ``iterations`` a JSON integer, ``converged`` a JSON boolean), a
-        tau1 outside [0, 1], a negative eta, no posteriors, an h outside
-        [0, 1], a post_mean whose length differs from beta's, or an
-        iteration count that differs from the length of the trace.
+        tau1 outside [0, 1], a negative eta, an empty beta, no posteriors,
+        an h outside [0, 1], a post_mean whose length differs from beta's,
+        an empty trace, or an iteration count that differs from the length
+        of the trace.
     NonFinite
         Non-finite parameters, posterior summaries or log-likelihoods, or a
         conditional mean post_mean / h that overflows.
@@ -352,6 +349,7 @@ def read_fit_json(path):
         if not doc["posteriors"]:
             raise ParseError(f"{path}: no posteriors")
         names, posteriors = _posteriors(doc["posteriors"], path, params.beta.shape)
+        # a fit ends on an E-step, so its trace holds at least that entry
         trace = _numbers(doc["loglik_trace"], path, "loglik_trace")
         iterations, converged = doc["iterations"], doc["converged"]
         if type(iterations) is not int:

@@ -60,26 +60,22 @@ class PriorParams:
         return 1.0 - self.tau1
 
 
-@dataclass(frozen=True)
-class TissuePosterior:
-    """Posterior summary for a single tissue.
+def posterior_table(h, post_mean, cond_mean_active, log_bf, log_odds):
+    """Every tissue's posterior summary as one read-only record array.
 
-    Attributes
-    ----------
-    h : float
-        Posterior probability of association, in [0, 1].
-    post_mean : ndarray of shape (p,)
-        Posterior mean of the coefficients, ``h * cond_mean_active``.
-    cond_mean_active : ndarray of shape (p,)
-        Posterior mean conditional on association.
-    log_bf : float
-        Log Bayes factor in favor of no association (positive favors null).
-    log_odds : float
-        ``log_bf + log(tau0/tau1)``; h = sigmoid(-log_odds).
+    A row per tissue in panel order: ``post.h`` reads a column, ``post[t].h``
+    one tissue.  h (m,) is the posterior probability of association;
+    post_mean (m, p) = h * cond_mean_active the coefficients' posterior
+    mean, cond_mean_active (m, p) their mean given association; log_bf (m,)
+    the log Bayes factor for no association (positive favors null), and
+    log_odds (m,) = log_bf + log(tau0/tau1), so h = sigmoid(-log_odds).
+    ``post.post_mean.T`` is a strided view, not a contiguous (p, m) array.
     """
-
-    h: float
-    post_mean: np.ndarray
-    cond_mean_active: np.ndarray
-    log_bf: float
-    log_odds: float
+    vec = ("f8", (post_mean.shape[1],))
+    table = np.rec.fromarrays(
+        [h, post_mean, cond_mean_active, log_bf, log_odds],
+        names="h,post_mean,cond_mean_active,log_bf,log_odds",
+        formats=["f8", vec, vec, "f8", "f8"],
+    )
+    table.setflags(write=False)
+    return table

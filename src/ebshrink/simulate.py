@@ -317,12 +317,11 @@ def _one_replication(config, rep_index, options):
     data = simulate_setting(replace(config, seed=_mix_seed(config.seed, rep_index)))
     result = fit(build_design(data.x), data.panel, options)
     est_ols = result.betahat.T
-    est_post = np.column_stack([tp.post_mean for tp in result.posteriors])
-    scores = np.array([tp.h for tp in result.posteriors])
+    post = result.posteriors
     return (
         mse(est_ols, data.true_beta),
-        mse(est_post, data.true_beta),
-        auc(scores, data.true_active),
+        mse(post.post_mean.T, data.true_beta),
+        auc(post.h, data.true_active),
     )
 
 
@@ -429,8 +428,7 @@ def ols_estimator(draw):
 
 def oracle_posterior_estimator(draw):
     """Each replication's posterior mean under the true prior parameters."""
-    posteriors = tissue_posterior(draw.design, draw.panel, draw.params)
-    return np.column_stack([tp.post_mean for tp in posteriors])
+    return tissue_posterior(draw.design, draw.panel, draw.params).post_mean.T
 
 
 def mc_bayes_risk(estimator, config, reps, delta=None):

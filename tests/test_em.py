@@ -24,7 +24,7 @@ from ebshrink.em import (
     ols,
     tissue_posterior,
 )
-from ebshrink.errors import BadShape, DegenerateResponsibilities, RankDeficient
+from ebshrink.errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
 from ebshrink.linalg import build_design
 from ebshrink.posterior import R_FLOOR, PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
@@ -111,10 +111,8 @@ def assert_params_close(got, want, rtol=1e-9):
 
 
 def assert_posteriors_close(got, want, rtol=1e-9):
-    assert_allclose([q.h for q in got], [q.h for q in want], rtol=rtol)
-    assert_allclose(
-        np.array([q.post_mean for q in got]), np.array([q.post_mean for q in want]), rtol=rtol
-    )
+    assert_allclose(got.h, want.h, rtol=rtol)
+    assert_allclose(got.post_mean, want.post_mean, rtol=rtol)
 
 
 class TestResponsePanel:
@@ -644,6 +642,19 @@ class TestFit:
             )
 
     @pytest.mark.parametrize("setting", [1, 3])
+    def test_responses_squaring_beyond_float_range_rejected(self, setting):
+        # a response of 1e160 squares past the float range; the statistics
+        # name the tissue rather than fail later on an infinite variance
+        data = simulate_setting(SimConfig.for_setting(setting, seed=5))
+        y = data.panel.y.copy()
+        y[:, 7] *= 1e160
+        panel = ResponsePanel(y, mask=data.panel.mask)
+        d = build_design(data.x)
+        for call in (fit, ols):
+            with pytest.raises(NonFinite, match="tissue t8"):
+                call(d, panel)
+
+    @pytest.mark.parametrize("setting", [1, 3])
     def test_column_scaling_invariance(self, setting):
         # X -> X D for diagonal D gives beta -> D^-1 beta with sigma2, eta and
         # h unchanged (g-prior invariance), however far apart the scales
@@ -711,7 +722,7 @@ class TestFit:
         assert moved.iterations == base.iterations
         assert_params_close(moved.params, base.params)
         assert_allclose(moved.loglik_trace, base.loglik_trace, rtol=1e-9)
-        assert_posteriors_close(moved.posteriors, [base.posteriors[t] for t in perm])
+        assert_posteriors_close(moved.posteriors, base.posteriors[perm])
 
     @pytest.mark.parametrize("missing", [0, 3])
     def test_all_zero_panel_gives_null_fit(self, missing):

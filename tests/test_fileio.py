@@ -1,6 +1,9 @@
 """TSV parsing/writing and the fit JSON round-trip."""
 
+import copy
+import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from ebshrink.fileio import (
     write_matrix_tsv,
 )
 from ebshrink.linalg import build_design
-from ebshrink.posterior import PriorParams, TissuePosterior
+from ebshrink.posterior import PriorParams, posterior_table
 from oracles import read_matrix_tsv_per_cell, render_table_per_cell
 
 
@@ -282,13 +285,17 @@ class TestFitJson:
             (lambda text: re.sub(r'"tau1": [^,]*', '"tau1": 5.0', text), ParseError),
             (lambda text: re.sub(r'"tau1": [^,]*', '"tau1": -3.0', text), ParseError),
             (lambda text: re.sub(r'"eta": [^,]*', '"eta": -7.0', text), ParseError),
+            # reports no fit writes: no covariates, and no E-step at the params
+            (lambda text: re.sub(r'"beta": \[[^\]]*\]', '"beta": []', text), ParseError),
+            (lambda text: re.sub(r'"loglik_trace": \[[^\]]*\], "iterations": \d+',
+                                 '"loglik_trace": [], "iterations": 0', text), ParseError),
         ],
         ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
              "nan_trace", "iterations_mismatch", "nan_beta", "string_converged",
              "fractional_iterations", "no_posteriors", "cond_mean_overflow",
              "string_h", "boolean_h", "string_tau1", "string_beta", "string_trace",
              "integer_tissue", "integer_beyond_float", "tau1_above_one", "negative_tau1",
-             "negative_eta"],
+             "negative_eta", "empty_beta", "no_iterations"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()
@@ -420,17 +427,16 @@ class TestRoundTripProperties:
             eta=data.draw(st.floats(0.0, 1e308)),
             sigma2=data.draw(st.floats(0.0, 1e308, exclude_min=True)),
         )
-        posteriors = [
-            TissuePosterior(h=data.draw(st.floats(0.0, 1.0)), post_mean=vec(p),
-                            cond_mean_active=np.zeros(p), log_bf=data.draw(finite),
-                            log_odds=data.draw(finite))
-            for _ in range(m)
-        ]
+        h = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        posteriors = posterior_table(
+            h, np.array([vec(p) for _ in range(m)]), np.zeros((m, p)), vec(m), vec(m)
+        )
         # the reader rebuilds post_mean / h and rejects an overflow (tested above)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             assume(all(np.all(np.isfinite(tp.post_mean / tp.h)) for tp in posteriors if tp.h))
         names = data.draw(st.lists(st.text(), min_size=m, max_size=m))
-        trace = vec(data.draw(st.integers(0, 4)))
+        # a fit's trace ends on the E-step at its parameters, so it is never empty
+        trace = vec(data.draw(st.integers(1, 4)))
         result = FitResult(params=params, posteriors=posteriors, loglik_trace=trace,
                            iterations=len(trace), converged=data.draw(st.booleans()))
         path = tmp_path_factory.mktemp("fit") / "fit.json"
@@ -452,3 +458,82 @@ class TestRoundTripProperties:
         with pytest.raises(ValueError):
             write_fit_json(p, res, panel.tissue_names)
         assert not p.exists()
+
+
+# a valid report, small enough that a drawn location often hits a field
+VALID_REPORT = {
+    "params": {"tau1": 0.3, "beta": [0.5, -1.25], "eta": 2.0, "sigma2": 1.5},
+    "posteriors": [
+        {"tissue": "liver", "h": 0.8125, "post_mean": [0.40625, -1.015625],
+         "log_bf": -0.61, "log_odds": -1.46},
+        {"tissue": "lung", "h": 0.0625, "post_mean": [0.03125, -0.078125],
+         "log_bf": 3.55, "log_odds": 2.7},
+    ],
+    "loglik_trace": [-120.5, -118.3],
+    "iterations": 2,
+    "converged": True,
+}
+DROP = object()
+# what a mutation writes: a deletion, any float (NaN and infinities too),
+# values at the edges of each field's range, and arbitrary JSON: every type,
+# integers beyond float range, nested and empty containers
+EDITS = (
+    st.just(DROP) | st.floats()
+    | st.sampled_from([0, 1, -1, 0.0, -0.0, 5e-324, 1e308, 10**400, True, None, "1.0", [], {}])
+    | st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+        max_leaves=6,
+    )
+)
+
+
+def locations(node, path=()):
+    """The path of ``node`` and of everything nested in it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from locations(child, (*path, key))
+
+
+def mutated(doc, path, value):
+    """``doc`` with the item at ``path`` replaced by value, or deleted for DROP."""
+    if not path:
+        return doc if value is DROP else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestFitJsonFuzz:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(data=st.data(), edits=st.integers(1, 3))
+    def test_mutated_report_loads_or_raises_typed(self, tmp_path_factory, data, edits):
+        doc = copy.deepcopy(VALID_REPORT)
+        for _ in range(edits):
+            path = data.draw(st.sampled_from(list(locations(doc))))
+            doc = mutated(doc, path, data.draw(EDITS))
+        path = tmp_path_factory.mktemp("fuzz") / "fit.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result, names = read_fit_json(str(path))
+            except (ParseError, NonFinite):
+                return
+        post = result.posteriors
+        assert post.shape == (len(names),)
+        for field in post.dtype.names:
+            assert np.all(np.isfinite(post[field]))
+        assert np.all(np.isfinite(result.loglik_trace)) and result.iterations >= 1
