@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._parallel import parallel_map
-from .em import FitOptions, ResponsePanel, fit
+from .em import ResponsePanel, fit
 from .errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from .fileio import render_table, write_text
 from .linalg import build_design
@@ -78,7 +78,7 @@ class CvReport:
         write_text(path, self.to_csv())
 
 
-def kfold_cv(design, panel, k=10, seed=0, options=None):
+def kfold_cv(design, panel, k=10, seed=0):
     """Cross-validated prediction metrics for every tissue.
 
     The folds hold out individuals: one permutation of the n rows is split
@@ -97,7 +97,6 @@ def kfold_cv(design, panel, k=10, seed=0, options=None):
         Fold count, 2 <= k <= n.
     seed : int
         Drives the row permutation.
-    options : FitOptions, optional
 
     Raises
     ------
@@ -110,7 +109,6 @@ def kfold_cv(design, panel, k=10, seed=0, options=None):
         If some fold's training rows give a singular X'X; the message names
         the fold.
     """
-    options = options or FitOptions()
     if panel.n != design.n:
         raise BadShape(f"panel has {panel.n} rows, design has {design.n}")
     if not 2 <= k <= design.n:
@@ -132,7 +130,7 @@ def kfold_cv(design, panel, k=10, seed=0, options=None):
         except RankDeficient as exc:
             raise RankDeficient(f"fold {i + 1} of {k}: training {exc}") from exc
         train_panel = ResponsePanel(panel.y[train], panel.mask[train], panel.tissue_names)
-        return predict(design.x[folds[i]], fit(train_design, train_panel, options))
+        return predict(design.x[folds[i]], fit(train_design, train_panel))
 
     held_pred = np.empty((panel.n, panel.m))
     for fold, pred in zip(folds, parallel_map(run_fold, range(k))):

@@ -16,8 +16,8 @@ statistics in the eigenbasis of the whitened sub-Gram matrices
 L^-1 X_t'X_t L^-T (L the Cholesky factor of X'X), after which one
 objective evaluation costs O(m p) regardless of n (O(p) per variance probe
 on a complete panel, whose tissues share one basis).  The reduction is one
-batched pass over all tissues, and the rank checks work in whitened
-coordinates, so they do not depend on the scale of X's columns.
+symmetric product per tissue and one batched eigh, and the rank checks work
+in whitened coordinates, so they do not depend on the scale of X's columns.
 """
 
 import math
@@ -35,10 +35,6 @@ from .posterior import R_FLOOR, PriorParams, posterior_table
 
 # responsibility mass below which the signal component is considered empty
 DEGENERATE_MASS = 1e-12
-
-# bytes of row outer products held at once while the masked Gram matrices
-# accumulate, so the temporary stays bounded whatever n and p
-GRAM_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,10 @@ class _SuffStats:
         css[t]  = |y_t|^2,  nobs[t] = row count
 
     d_j = v_j'X_t'X_t v_j / v_j'X'X v_j lies in [0, 1] and does not change
-    when X's columns are rescaled.  One GEMM of the mask against the rows'
-    outer products (in row blocks of bounded size) and one batched eigh
-    reduce all tissues at once.  A complete panel has d = 1 and one shared
-    basis, vecs = I of shape (1, p, p), broadcast over the tissues.
+    when X's columns are rescaled.  S_t is one symmetric product of the
+    tissue's observed whitened rows, and one batched eigh diagonalizes all
+    of them.  A complete panel has d = 1 and one shared basis, vecs = I of
+    shape (1, p, p), broadcast over the tissues.
     sigma2_floor, 1e-12 of the mean square response, bounds every sigma2
     update from below; it moves with the response scale and keeps the
     kernels finite on a noise-free panel.
@@ -168,10 +164,9 @@ class _SuffStats:
 
     def __init__(self, design, panel):
         x, low = design.x, design.gram_factor
-        n, p = design.n, design.p
-        m = panel.m
-        if panel.n != n:
-            raise BadShape(f"panel has {panel.n} rows, design has {n}")
+        p, m = design.p, panel.m
+        if panel.n != design.n:
+            raise BadShape(f"panel has {panel.n} rows, design has {design.n}")
         counts = panel.observed_counts()
         short = counts < p + 1
         if np.any(short):
@@ -202,13 +197,9 @@ class _SuffStats:
             self.vecs = np.eye(p)[None]
         else:
             white = solve_triangular(low, x.T, lower=True).T     # rows w_i
-            rows = max(1, GRAM_BLOCK_BYTES // (8 * p * p))
-            grams = np.zeros((m, p * p))
-            for lo in range(0, n, rows):
-                blk = white[lo:lo + rows]
-                outer = (blk[:, :, None] * blk[:, None, :]).reshape(len(blk), p * p)
-                grams += panel.mask[lo:lo + rows].T.astype(np.float64) @ outer
-            self.d, vecs = np.linalg.eigh(grams.reshape(m, p, p))
+            # w.T @ w is a BLAS syrk: one triangle, mirrored, so exactly symmetric
+            grams = np.stack([w.T @ w for w in (white[obs] for obs in panel.mask.T)])
+            self.d, vecs = np.linalg.eigh(grams)
             weak = self.d[:, 0] < PIVOT_RTOL
             if np.any(weak):
                 t = int(np.argmax(weak))

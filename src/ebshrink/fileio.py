@@ -19,9 +19,11 @@ cells with one ``join`` over ``float.__repr__``.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .em import FitResult
 from .errors import NaInCovariates, NonFinite, ParseError
@@ -242,14 +244,23 @@ def _numbers(values, path, field):
     return out
 
 
-def _check_entry(entry, path, shape):
+def _contradictions(h, post_mean, log_bf, log_odds, prior):
+    """(m, 3) bool: post_mean nonzero at h = 0; log_odds off log_bf + prior (the
+    prior log odds log(tau0/tau1)) beyond roundoff; h off expit(-log_odds)."""
+    with np.errstate(over="ignore"):
+        off = np.abs(log_odds - (log_bf + prior)) > 1e-12 * (1.0 + np.abs(log_bf) + abs(prior))
+    return np.column_stack(((h == 0.0) & np.any(post_mean != 0.0, axis=1), off,
+                            np.abs(h - expit(-log_odds)) > 1e-9))
+
+
+def _check_entry(entry, path, shape, prior):
     """Raise the error of one report entry's first fault, if it has one."""
     name = entry["tissue"]
     if type(name) is not str:
         raise ParseError(f"{path}: tissue = {name!r} is not a JSON string")
-    h = _numbers(
+    h, log_bf, log_odds = _numbers(
         [entry["h"], entry["log_bf"], entry["log_odds"]], path, f"tissue {name!r} summary"
-    ).tolist()[0]
+    ).tolist()
     if not 0.0 <= h <= 1.0:
         raise ParseError(f"{path}: tissue {name!r} has h = {h!r} outside [0, 1]")
     post_mean = _numbers(entry["post_mean"], path, f"tissue {name!r} post_mean")
@@ -262,14 +273,20 @@ def _check_entry(entry, path, shape):
         cond = post_mean / h if h > 0.0 else np.zeros_like(post_mean)
     if not np.all(np.isfinite(cond)):
         raise NonFinite(f"{path}: tissue {name!r} has post_mean / h beyond float range")
+    bad = _contradictions(h, post_mean[None], log_bf, log_odds, prior)[0]
+    if bad.any():
+        what = ("nonzero post_mean at h = 0", "log_odds off log_bf + log(tau0/tau1)",
+                "h off expit(-log_odds)")[int(np.argmax(bad))]
+        raise ParseError(f"{path}: tissue {name!r} has {what}")
 
 
-def _posteriors(entries, path, shape):
+def _posteriors(entries, path, params):
     """Names and posterior table of all report entries, checked in one stacked pass.
 
     Only when that pass finds a fault are the entries walked one at a time,
     so the error names the first bad entry.
     """
+    shape, prior = params.beta.shape, math.log(params.tau0) - math.log(params.tau1)
     try:
         names = [entry["tissue"] for entry in entries]
         summaries = [(entry["h"], entry["log_bf"], entry["log_odds"]) for entry in entries]
@@ -293,12 +310,13 @@ def _posteriors(entries, path, shape):
             ok = bool(
                 np.isfinite(summary).all() and ((h >= 0.0) & (h <= 1.0)).all()
                 and np.isfinite(post_mean).all() and np.isfinite(cond).all()
+                and not _contradictions(h, post_mean, log_bf, log_odds, prior).any()
             )
     except (KeyError, TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         for entry in entries:
-            _check_entry(entry, path, shape)
+            _check_entry(entry, path, shape, prior)
         raise RuntimeError(f"{path}: the stacked check failed where no entry is at fault")
     return names, posterior_table(h, post_mean, cond, log_bf, log_odds)
 
@@ -327,6 +345,7 @@ def read_fit_json(path):
         ``iterations`` a JSON integer, ``converged`` a JSON boolean), a
         tau1 outside [0, 1], a negative eta, an empty beta, no posteriors,
         an h outside [0, 1], a post_mean whose length differs from beta's,
+        posterior fields that contradict each other (see _contradictions),
         an empty trace, or an iteration count that differs from the length
         of the trace.
     NonFinite
@@ -348,7 +367,7 @@ def read_fit_json(path):
         params = PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
         if not doc["posteriors"]:
             raise ParseError(f"{path}: no posteriors")
-        names, posteriors = _posteriors(doc["posteriors"], path, params.beta.shape)
+        names, posteriors = _posteriors(doc["posteriors"], path, params)
         # a fit ends on an E-step, so its trace holds at least that entry
         trace = _numbers(doc["loglik_trace"], path, "loglik_trace")
         iterations, converged = doc["iterations"], doc["converged"]

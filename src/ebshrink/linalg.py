@@ -84,7 +84,6 @@ def build_design(x):
     if not np.all(np.isfinite(x)):
         raise NonFinite("design contains NaN or infinite entries")
     gram = x.T @ x
-    gram = 0.5 * (gram + gram.T)
     factor = _checked_cholesky(gram, "X'X")
     if n == p:
         raise BadShape(f"design must have n > p, got square n=p={n}")

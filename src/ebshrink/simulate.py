@@ -17,7 +17,7 @@ from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from ._parallel import parallel_map
-from .em import FitOptions, ResponsePanel, fit, ols, tissue_posterior
+from .em import ResponsePanel, fit, ols, tissue_posterior
 from .errors import BadConfig, BadShape, DegenerateLabels, EbshrinkError, NonFinite
 from .fileio import render_table, write_text
 from .linalg import Design, build_design
@@ -313,19 +313,22 @@ class SimReport:
         write_text(path, self.to_csv())
 
 
-def _one_replication(config, rep_index, options):
-    data = simulate_setting(replace(config, seed=_mix_seed(config.seed, rep_index)))
-    result = fit(build_design(data.x), data.panel, options)
-    est_ols = result.betahat.T
-    post = result.posteriors
-    return (
-        mse(est_ols, data.true_beta),
-        mse(post.post_mean.T, data.true_beta),
-        auc(post.h, data.true_active),
-    )
+def _one_replication(config, rep_index):
+    """(mse_ols, mse_proposed, auc) of one replication, or None when it fails."""
+    try:
+        data = simulate_setting(replace(config, seed=_mix_seed(config.seed, rep_index)))
+        result = fit(build_design(data.x), data.panel)
+        post = result.posteriors
+        return (
+            mse(result.betahat.T, data.true_beta),
+            mse(post.post_mean.T, data.true_beta),
+            auc(post.h, data.true_active),
+        )
+    except EbshrinkError:
+        return None
 
 
-def run_replications(config, reps, options=None):
+def run_replications(config, reps):
     """Repeat the scenario, fit both estimators, and average the metrics.
 
     Replications draw independent child seeds from ``config.seed``; ones
@@ -338,15 +341,7 @@ def run_replications(config, reps, options=None):
     """
     if reps < 1:
         raise BadConfig(f"reps must be >= 1, got {reps}")
-    options = options or FitOptions()
-
-    def one(i):
-        try:
-            return _one_replication(config, i, options)
-        except EbshrinkError:
-            return None
-
-    outcomes = parallel_map(one, range(reps))
+    outcomes = parallel_map(lambda i: _one_replication(config, i), range(reps))
     kept = [o for o in outcomes if o is not None]
     failed = reps - len(kept)
     if kept:
@@ -487,8 +482,5 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
 
 def ols_risk_exact(design, sigma2, delta=None):
     """Closed-form complete-data OLS risk sigma2 * tr(Delta (X'X)^-1)."""
-    gram_inv = np.linalg.inv(design.gram)
-    if delta is None:
-        return float(sigma2 * np.trace(gram_inv))
-    delta = np.asarray(delta, dtype=np.float64)
-    return float(sigma2 * np.trace(delta @ gram_inv))
+    delta = np.eye(design.p) if delta is None else np.asarray(delta, dtype=np.float64)
+    return float(sigma2 * np.trace(delta @ np.linalg.inv(design.gram)))

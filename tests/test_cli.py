@@ -1,10 +1,15 @@
 """End-to-end command-line runs through cli_main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebshrink
 import ebshrink.crossval
 from ebshrink.cli import cli_main
 from ebshrink.em import ResponsePanel, fit
@@ -240,3 +245,47 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "row 2" in err and "column 2" in err
+
+
+# BLAS reads its thread count once, at load, so each count needs its own process
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_cli_process(argv, pinned):
+    """Run the CLI in a fresh interpreter, BLAS pinned to one thread or at its default."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if pinned:
+        env["OMP_NUM_THREADS"] = "1"
+    src = str(Path(ebshrink.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys; from ebshrink.cli import cli_main; sys.exit(cli_main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                   capture_output=True)
+
+
+class TestBlasThreadCount:
+    def test_cli_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Each command writes the same bytes with BLAS on one thread and at its default.
+
+        On a one-core machine the default is one thread too, and the test has
+        no power there.
+        """
+        data = simulate_setting(SimConfig.for_setting(3, seed=12, n=120, p=10, m=300))
+        x_path, y_path = tmp_path / "x.tsv", tmp_path / "y.tsv"
+        write_matrix_tsv(x_path, data.x, col_ids=[f"v{j + 1}" for j in range(10)])
+        write_matrix_tsv(y_path, data.panel.y, col_ids=list(data.panel.tissue_names))
+        commands = {
+            "simulate3": ["simulate", "--setting", "3", "--reps", "10", "--seed", "20221128"],
+            "simulate4": ["simulate", "--setting", "4", "--reps", "4", "--seed", "9"],
+            "masked_fit": ["fit", "--x", str(x_path), "--y", str(y_path)],
+        }
+        differ = []
+        for name, argv in commands.items():
+            outputs = []
+            for pinned in (True, False):
+                out = tmp_path / f"{name}-{pinned}.out"
+                run_cli_process(argv + ["--out", str(out)], pinned)
+                outputs.append(out.read_bytes())
+            if outputs[0] != outputs[1]:
+                differ.append(name)
+        assert differ == []

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from ebshrink import em, kernels
 from ebshrink.crossval import kfold_cv
 from ebshrink.em import (
-    GRAM_BLOCK_BYTES,
     FitOptions,
     ResponsePanel,
     _estep_core,
@@ -149,8 +148,9 @@ def masked_case(case):
     rng = np.random.default_rng(ORACLE_CASES.index(case))
     n, p, m = 30, 4, 6
     if case == "row_blocks":
-        p = 40
-        n = 3 * (GRAM_BLOCK_BYTES // (8 * p * p)) + 7
+        # a tall panel at a wider p, where each tissue's symmetric product
+        # runs over about 1,400 rows
+        n, p = 1972, 40
     x = rng.standard_normal((n, p))
     y = x @ rng.standard_normal((p, m)) + rng.standard_normal((n, m))
     mask = rng.random((n, m)) > 0.3

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import re
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from ebshrink.crossval import predict
 from ebshrink.em import FitResult, ResponsePanel, fit
@@ -238,10 +240,10 @@ class TestFitJson:
         text = (
             '{"params": {"tau1": 0.29999999999999999, "beta": [0.5, -1.25], "eta": 1e-10, '
             '"sigma2": 10000}, "posteriors": [{"tissue": "liver", "h": 0.8125, '
-            '"post_mean": [0.40625, -1.015625], "log_bf": -0.60999999999999999, '
-            '"log_odds": -1.46}, {"tissue": "lung", "h": 0.0625, '
-            '"post_mean": [0.03125, -0.078125], "log_bf": 3.5499999999999998, '
-            '"log_odds": 2.7000000000000002}], "loglik_trace": [-120.5, -118.3], '
+            '"post_mean": [0.40625, -1.015625], "log_bf": -2.3136349291806306, '
+            '"log_odds": -1.466337068793427}, {"tissue": "lung", "h": 0.0625, '
+            '"post_mean": [0.03125, -0.078125], "log_bf": 1.8607523407150064, '
+            '"log_odds": 2.70805020110221}], "loglik_trace": [-120.5, -118.3], '
             '"iterations": 2, "converged": true}\n'
         )
         back, names = read_fit_json(write_text(tmp_path / "old.json", text))
@@ -289,13 +291,20 @@ class TestFitJson:
             (lambda text: re.sub(r'"beta": \[[^\]]*\]', '"beta": []', text), ParseError),
             (lambda text: re.sub(r'"loglik_trace": \[[^\]]*\], "iterations": \d+',
                                  '"loglik_trace": [], "iterations": 0', text), ParseError),
+            # posterior fields that contradict each other, each check alone
+            (lambda text: CONTRADICTORY_REPORT, ParseError),
+            (lambda text: first_entry(text, h=0.0, log_bf=1e300, log_odds=1e300), ParseError),
+            (lambda text: first_entry(text, log_bf=lambda v: v + 1e-6), ParseError),
+            (lambda text: first_entry(text, h=lambda v: v - 0.25 if v > 0.5 else v + 0.25),
+             ParseError),
         ],
         ids=["nan_post_mean", "long_post_mean", "h_out_of_range", "truncated",
              "nan_trace", "iterations_mismatch", "nan_beta", "string_converged",
              "fractional_iterations", "no_posteriors", "cond_mean_overflow",
              "string_h", "boolean_h", "string_tau1", "string_beta", "string_trace",
              "integer_tissue", "integer_beyond_float", "tau1_above_one", "negative_tau1",
-             "negative_eta", "empty_beta", "no_iterations"],
+             "negative_eta", "empty_beta", "no_iterations", "found_report",
+             "post_mean_where_h_zero", "log_odds_off_prior", "h_off_log_odds"],
     )
     def test_bad_report_rejected(self, tmp_path, edit, error):
         _, panel, res = self.fitted()
@@ -306,6 +315,28 @@ class TestFitJson:
         assert bad != text
         with pytest.raises(error, match="bad.json"):
             read_fit_json(write_text(tmp_path / "bad.json", bad))
+
+
+# h = 0 with a nonzero post_mean, and log_odds at neither log_bf + log(tau0/tau1)
+# nor -logit(h): loaded, it would predict 4.0 at x = (1, 1) for a tissue with h = 0
+CONTRADICTORY_REPORT = (
+    '{"params": {"tau1": 0.3, "beta": [0.5, -1.25], "eta": 2.0, "sigma2": 1.5}, '
+    '"posteriors": [{"tissue": "liver", "h": 0.0, "post_mean": [7.0, -3.0], '
+    '"log_bf": -0.61, "log_odds": -1.46}], "loglik_trace": [-120.5], '
+    '"iterations": 1, "converged": true}\n'
+)
+
+
+def first_entry(text, **fields):
+    """The report text with fields of its first posterior entry replaced.
+
+    A callable value maps the field's old value to its new one.
+    """
+    doc = json.loads(text)
+    entry = doc["posteriors"][0]
+    for field, value in fields.items():
+        entry[field] = value(entry[field]) if callable(value) else value
+    return json.dumps(doc)
 
 
 def quote_entries(field, text):
@@ -427,10 +458,14 @@ class TestRoundTripProperties:
             eta=data.draw(st.floats(0.0, 1e308)),
             sigma2=data.draw(st.floats(0.0, 1e308, exclude_min=True)),
         )
-        h = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
-        posteriors = posterior_table(
-            h, np.array([vec(p) for _ in range(m)]), np.zeros((m, p)), vec(m), vec(m)
-        )
+        # the posterior fields a fit writes: log_odds and h follow from
+        # log_bf at the prior odds, and post_mean is zero where h is
+        log_bf = vec(m)
+        log_odds = log_bf + (math.log(params.tau0) - math.log(params.tau1))
+        h = expit(-log_odds)
+        post_mean = np.array([vec(p) for _ in range(m)])
+        post_mean[h == 0.0] = 0.0
+        posteriors = posterior_table(h, post_mean, np.zeros((m, p)), log_bf, log_odds)
         # the reader rebuilds post_mean / h and rejects an overflow (tested above)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             assume(all(np.all(np.isfinite(tp.post_mean / tp.h)) for tp in posteriors if tp.h))
@@ -465,9 +500,9 @@ VALID_REPORT = {
     "params": {"tau1": 0.3, "beta": [0.5, -1.25], "eta": 2.0, "sigma2": 1.5},
     "posteriors": [
         {"tissue": "liver", "h": 0.8125, "post_mean": [0.40625, -1.015625],
-         "log_bf": -0.61, "log_odds": -1.46},
+         "log_bf": -2.3136349291806306, "log_odds": -1.466337068793427},
         {"tissue": "lung", "h": 0.0625, "post_mean": [0.03125, -0.078125],
-         "log_bf": 3.55, "log_odds": 2.7},
+         "log_bf": 1.8607523407150064, "log_odds": 2.70805020110221},
     ],
     "loglik_trace": [-120.5, -118.3],
     "iterations": 2,

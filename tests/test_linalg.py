@@ -51,6 +51,10 @@ class TestBuildDesign:
         d = build_design(x)
         assert_allclose(d.gram, x.T @ x, rtol=1e-10)
         assert_allclose(d.gram_factor @ d.gram_factor.T, d.gram, rtol=1e-12)
+        # x'x is one symmetric (syrk) product, one triangle mirrored, at any size
+        wide = build_design(rng.standard_normal((1000, 64))).gram
+        for gram in (d.gram, wide):
+            assert np.array_equal(gram, gram.T)
 
 
 class TestOls:
