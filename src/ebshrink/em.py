@@ -6,9 +6,9 @@ responsibilities for the signal component; the M-step updates
 closed form (beta as a responsibility-weighted GLS at the current variance
 parameters).  Because the slab covariance is eta (X'X)^-1, fixing the ratio
 r = eta/sigma2 leaves an objective maximized by sigma2 in closed form, so
-(sigma2, eta) are updated by root-finding the closed-form slope of that
-profile in log r.  Each update is a conditional maximization that never
-decreases the EM objective, so the observed-data log-likelihood is
+(sigma2, eta) are updated by Newton's method on the closed-form slope of
+that profile in log r.  Each update is a conditional maximization that
+never decreases the EM objective, so the observed-data log-likelihood is
 monotone; on a complete panel the step is the joint maximizer.
 
 Everything the inner loop needs is reduced once per fit to per-tissue
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from . import kernels
@@ -350,36 +349,38 @@ def _m_step_masked_core(stats, resp, current):
     d_pool = d.reshape(pool)[:, 0]
     d_mass = t_one.reshape(pool[:2]).sum(axis=1)[:, None] * d_pool
 
-    # read out of stats: brentq wraps score in a self-referencing closure,
-    # so what these closures capture lives on until the cycle collector runs
-    floor = stats.sigma2_floor
-
-    def profile(u):
+    def score(u):
+        """Score and its slope in u = log r, with the profile's r and sigma2."""
         r = math.exp(u)
         shrink = 1.0 / (1.0 + r * d_pool)
-        q = q_base - r * float((w2_pool * shrink).sum())
-        return r, shrink, max(q / total_obs, floor)
-
-    def score(u):
-        _, shrink, sigma2 = profile(u)
-        return float((w2_pool * shrink**2).sum() / sigma2 - (d_mass * shrink).sum())
+        q = (q_base - r * float((w2_pool * shrink).sum())) / total_obs
+        sigma2 = max(q, stats.sigma2_floor)
+        a = float((w2_pool * shrink**2).sum() / sigma2)
+        # off its floor sigma2 has derivative -r a sigma2 / A in u, adding
+        # r a^2 / A; sigma2^2 is never formed, it underflows near 1e-100 scales
+        slope = r * float(((d_mass - 2.0 * w2_pool * shrink / sigma2) * d_pool * shrink**2).sum())
+        slope += r * a * a / total_obs if q > stats.sigma2_floor else 0.0
+        return a - float((d_mass * shrink).sum()), slope, r, sigma2
 
     # the r bracket [R_FLOOR, 1e26] holds ratios, so it is the same at every
     # response scale; log space keeps the root search well conditioned
-    u_lo, u_hi = math.log(R_FLOOR), math.log(1e26)
-    s_lo = score(u_lo)
-    if s_lo <= 0.0:
-        u = u_lo
-    else:
-        s_hi = score(u_hi)
-        if s_hi >= 0.0:
-            u = u_hi
-        else:
-            # brentq starts by scoring both bracket ends, already scored here
-            u = brentq(
-                lambda v: s_lo if v == u_lo else s_hi if v == u_hi else score(v), u_lo, u_hi
-            )
-    ratio, _, sigma2 = profile(u)
+    lo, hi = math.log(R_FLOOR), math.log(1e26)
+    s, _, ratio, sigma2 = score(lo)
+    if s > 0.0:
+        # Newton from the current ratio in a sign bracket every score narrows;
+        # a step leaving it, or not half the step before last, bisects instead
+        u = min(max(math.log(current.eta / current.sigma2), lo), hi)
+        last = older = hi - lo
+        while True:
+            s, slope, _, _ = score(u)
+            lo, hi = (u, hi) if s > 0.0 else (lo, u)
+            step = -s / slope if slope else math.inf
+            if not (lo <= u + step <= hi and abs(step) <= 0.5 * older):
+                step = 0.5 * (lo + hi) - u
+            if abs(step) <= 1e-12 * (1.0 + abs(u)):
+                break
+            u, older, last = u + step, last, abs(step)
+        _, _, ratio, sigma2 = score(u + step)
     eta = ratio * sigma2
     # the profile need not be unimodal in r, so the root found (or a bracket
     # end) can score below the current point; keeping the current variances
@@ -431,11 +432,12 @@ def m_step_masked(design, panel, resp, current):
 
     tau1 and beta update in closed form (beta by responsibility-weighted
     GLS at the current variance parameters).  With sigma2 the closed-form
-    maximizer at each r = eta/sigma2, r is the root of the profile's
-    closed-form slope in log r, or an end of its bracket when the slope
-    keeps one sign there; when that lands below the current variances they
-    are kept.  The EM objective never decreases.  With zero signal mass
-    beta is kept and tau1 falls to its clamp floor.
+    maximizer at each r = eta/sigma2, r is the root of the profile's slope
+    in log r, by Newton steps that bisect on leaving the sign bracket in
+    [R_FLOOR, 1e26], or R_FLOOR when the slope is not positive there; when
+    that lands below the current variances they are kept.  The EM objective
+    never decreases.  With zero signal mass beta is kept and tau1 falls to
+    its clamp floor.
     """
     stats = _SuffStats(design, panel)
     stats.check_mean(current)

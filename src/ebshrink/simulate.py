@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from ._parallel import parallel_map
 from .em import ResponsePanel, fit, ols, tissue_posterior
@@ -274,8 +273,10 @@ def auc(scores, labels):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels(f"need both classes, got {n_pos} positive of {labels.size}")
-    ranks = rankdata(scores)
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # twice the Mann-Whitney U: per positive, the negatives below plus those not above
+    neg = np.sort(scores[~labels])
+    below, upto = (np.searchsorted(neg, scores[labels], side) for side in ("left", "right"))
+    return int(below.sum() + upto.sum()) / (2 * n_pos * n_neg)
 
 
 def _mix_seed(*parts):
@@ -426,6 +427,15 @@ def oracle_posterior_estimator(draw):
     return tissue_posterior(draw.design, draw.panel, draw.params).post_mean.T
 
 
+def _checked_delta(delta, p):
+    delta = np.eye(p) if delta is None else np.asarray(delta, dtype=np.float64)
+    if delta.shape != (p, p):
+        raise BadShape(f"delta must have shape ({p}, {p}), got {delta.shape}")
+    if not np.all(np.isfinite(delta)):
+        raise NonFinite("delta contains NaN or infinite entries")
+    return delta
+
+
 def mc_bayes_risk(estimator, config, reps, delta=None):
     """Monte Carlo Bayes risk E[(est - beta)' Delta (est - beta)].
 
@@ -442,16 +452,13 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
     Raises
     ------
     BadShape
-        If the estimates do not have shape (p, reps).
+        If delta is not (p, p) or the estimates do not have shape (p, reps).
+    NonFinite
+        If delta has NaN or infinite entries.
     """
     if reps < 2:
         raise BadConfig(f"reps must be >= 2 for a standard error, got {reps}")
-    if delta is None:
-        delta_mat = np.eye(config.p)
-    else:
-        delta_mat = np.asarray(delta, dtype=np.float64)
-        if delta_mat.shape != (config.p, config.p):
-            raise BadShape(f"delta must be ({config.p}, {config.p})")
+    delta = _checked_delta(delta, config.p)
     design = build_design(_draw_x(np.random.default_rng(_mix_seed(config.seed, 0)), config))
     params = model_prior_params(config)
     panels, betas, _ = zip(*(
@@ -472,7 +479,7 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
     if est.shape != true_beta.shape:
         raise BadShape(f"estimates have shape {est.shape}, expected {true_beta.shape}")
     diff = est - true_beta
-    losses = np.einsum("ji,jk,ki->i", diff, delta_mat, diff)
+    losses = np.einsum("ji,jk,ki->i", diff, delta, diff)
     return RiskEstimate(
         risk=float(losses.mean()),
         stderr=float(losses.std(ddof=1) / np.sqrt(reps)),
@@ -482,5 +489,5 @@ def mc_bayes_risk(estimator, config, reps, delta=None):
 
 def ols_risk_exact(design, sigma2, delta=None):
     """Closed-form complete-data OLS risk sigma2 * tr(Delta (X'X)^-1)."""
-    delta = np.eye(design.p) if delta is None else np.asarray(delta, dtype=np.float64)
+    delta = _checked_delta(delta, design.p)
     return float(sigma2 * np.trace(delta @ np.linalg.inv(design.gram)))

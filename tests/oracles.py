@@ -11,9 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, rankdata
 
 from ebshrink.errors import NaInCovariates, ParseError
 
@@ -244,6 +244,55 @@ def numeric_q_max_complete(x, y_panel, resp, r_floor=1e-12):
     )
     tau1 = 1.0 / (1.0 + np.exp(-t_ref.x[0]))
     return float(tau1), beta, float(sigma2), float(eta)
+
+
+def midrank_auc(scores, labels):
+    """AUC from the rank-sum of the positives, ties at their midranks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(scores)
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def brentq_profile_root(d, w2, rss, css, nobs, t0, t1, sigma2_floor, r_floor=1e-12):
+    """(sigma2, eta, score at r_floor) of the variance update, by brentq.
+
+    The arrays are the kernel statistics of every tissue, shape (m, p) or
+    (m,), each tissue with its own d row (no pooling by basis).  With
+    eta = r sigma2 the weighted objective peaks at sigma2(r) = Q(r) / A,
+    A = sum_t (t0 + t1) nobs and Q(r) = sum_t t0 css + t1 (rss - r sum_j
+    w2 / (1 + r d)), floored at sigma2_floor; the profile's slope in
+    u = log r has the sign of
+
+        score(u) = sum_t t1 sum_j [w2 / (sigma2(r) (1 + r d)^2) - d / (1 + r d)].
+
+    The root is searched in [r_floor, 1e26]: r_floor when the score there
+    is <= 0, 1e26 when the score there is >= 0.
+    """
+    total = float(np.sum((t0 + t1) * nobs))
+
+    def profile(u):
+        r = np.exp(u)
+        shrink = 1.0 / (1.0 + r * d)
+        q = np.sum(t0 * css) + np.sum(t1 * (rss - r * np.sum(w2 * shrink, axis=1)))
+        return r, shrink, max(q / total, sigma2_floor)
+
+    def score(u):
+        _, shrink, sigma2 = profile(u)
+        return float(np.sum(t1[:, None] * (w2 * shrink**2 / sigma2 - d * shrink)))
+
+    u_lo, u_hi = np.log(r_floor), np.log(1e26)
+    s_lo = score(u_lo)
+    if s_lo <= 0.0:
+        u = u_lo
+    elif score(u_hi) >= 0.0:
+        u = u_hi
+    else:
+        u = brentq(score, u_lo, u_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+    r, _, sigma2 = profile(u)
+    return sigma2, r * sigma2, s_lo
 
 
 def read_matrix_tsv_per_cell(path, allow_na=False):

@@ -289,3 +289,18 @@ class TestBlasThreadCount:
             if outputs[0] != outputs[1]:
                 differ.append(name)
         assert differ == []
+
+
+class TestColdStart:
+    def test_import_leaves_out_scipy_optimize_and_stats(self):
+        env = dict(os.environ)
+        src = str(Path(ebshrink.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, ebshrink, ebshrink.cli; "
+            "print(sorted({m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'optimize'], ['scipy', 'stats'])}))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"

@@ -1,5 +1,9 @@
 """EM steps and the full fit loop, checked against slow reference maximizers."""
 
+import contextlib
+import gc
+import math
+import types
 import warnings
 
 import numpy as np
@@ -29,6 +33,7 @@ from ebshrink.posterior import R_FLOOR, PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
 
 from oracles import (
+    brentq_profile_root,
     dense_gls_beta,
     dense_loglik,
     dense_responsibility,
@@ -56,6 +61,36 @@ def random_params(rng, p):
         eta=float(rng.uniform(0.5, 3.0)),
         sigma2=float(rng.uniform(0.5, 2.0)),
     )
+
+
+# profile score evaluations one M-step may take: a probe at the ratio floor,
+# then Newton steps, each at most half the step before last, or bisections,
+# each halving the sign bracket in log r, then the evaluation at the root
+MAX_SCORES = 100
+
+
+@contextlib.contextmanager
+def counted_scores(limit=math.inf):
+    """Record the M-step's profile score evaluations, one math.exp each.
+
+    Evaluation number limit + 1 raises AssertionError, so a loop that
+    would not stop fails instead.
+    """
+    calls = []
+
+    def exp(u):
+        calls.append(u)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} profile score evaluations")
+        return math.exp(u)
+
+    proxy = types.SimpleNamespace(**vars(math))
+    proxy.exp = exp
+    saved, em.math = em.math, proxy
+    try:
+        yield calls
+    finally:
+        em.math = saved
 
 
 # entry points called with a response panel of two rows fewer than the design
@@ -414,6 +449,71 @@ class TestMStepMasked:
         # held to a relative bound of its own
         assert np.max(np.abs(new.beta - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(data=st.data(), n=st.integers(8, 20), p=st.integers(1, 4), m=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1), masked=st.booleans(),
+           signal=st.sampled_from([0.0, 1.0, 3.0, 10.0]), log_scale=st.integers(-100, 100))
+    def test_variances_are_the_profile_root(self, data, n, p, m, seed, masked, signal,
+                                            log_scale):
+        # (sigma2, eta) are the root of the profile score at the step's own
+        # beta, found within a bounded number of score evaluations; when the
+        # score is not positive at the ratio floor, the one probe there is
+        # the step, which lands on the floor itself
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        x = rng.standard_normal((n, p))
+        coefs = rng.standard_normal(p)[:, None] + signal * rng.standard_normal((p, m))
+        y = scale * (x @ coefs + rng.standard_normal((n, m)))
+        mask = np.ones((n, m), dtype=bool)
+        if masked:
+            for t in range(m):
+                n_obs = data.draw(st.integers(p + 1, n))
+                mask[rng.choice(n, n - n_obs, replace=False), t] = False
+        t1 = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        t1[0] = max(t1[0], 0.1)
+        resp = np.column_stack([1.0 - t1, t1])
+        sigma2 = scale**2 * float(rng.uniform(0.5, 2.0))
+        ratio = float(np.exp(rng.uniform(np.log(R_FLOOR), np.log(1e6))))
+        current = PriorParams(tau1=0.5, beta=scale * rng.standard_normal(p),
+                              eta=ratio * sigma2, sigma2=sigma2)
+        d = build_design(x)
+        panel = ResponsePanel(np.where(mask, y, np.nan), mask=mask)
+        try:
+            stats = _SuffStats(d, panel)
+        except RankDeficient:
+            assume(False)
+        with counted_scores(MAX_SCORES) as calls:
+            new = m_step_masked(d, panel, resp, current)
+        # skip the rare step on which the monotonicity guard kept the variances
+        assume((new.sigma2, new.eta) != (current.sigma2, current.eta))
+        w2, rss = stats.residual_stats(new.beta)
+        sigma2_ref, eta_ref, score_at_floor = brentq_profile_root(
+            stats.d, w2, rss, stats.css, stats.nobs, resp[:, 0], resp[:, 1], stats.sigma2_floor
+        )
+        assert new.sigma2 == pytest.approx(sigma2_ref, rel=1e-9)
+        assert new.eta == pytest.approx(eta_ref, rel=1e-9)
+        if score_at_floor <= 0.0:
+            assert len(calls) == 1
+            assert new.eta / new.sigma2 == pytest.approx(R_FLOOR, rel=1e-14)
+
+    @pytest.mark.parametrize("noise", [1e-3, 1e-6])
+    @pytest.mark.parametrize("ratio", [1e-11, 1e-6, 1e-2])
+    def test_near_exact_tissues_stop_within_the_bound(self, noise, ratio):
+        # every tissue active and fit almost exactly: below its root the
+        # score decays like 1/r, where a Newton step moves log r by about 1,
+        # and near the root cancellation in Q(r) leaves it noisy at 1e-8 in
+        # log r, where plain Newton steps cycle; the halving rule bisects
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 4))
+        y = x @ (10.0 * rng.standard_normal((4, 3))) + noise * rng.standard_normal((8, 3))
+        resp = np.column_stack([np.zeros(3), np.ones(3)])
+        current = PriorParams(tau1=0.5, beta=np.zeros(4), eta=ratio, sigma2=1.0)
+        with counted_scores(MAX_SCORES) as calls:
+            new = m_step_masked(build_design(x), ResponsePanel(y), resp, current)
+        assert len(calls) <= 30
+        assert new.eta / new.sigma2 > 1e8
+
     def test_roundoff_negative_responsibilities_are_clipped(self):
         # _check_resp admits entries down to -1e-12; the GLS weights take
         # their square root, so they must reach the step clipped to [0, 1]
@@ -465,6 +565,28 @@ class TestFit:
         rng = np.random.default_rng(83)
         d, panel = random_problem(rng, n=20, p=3, m=8)
         assert fit(d, panel).iterations >= 2
+
+    @pytest.mark.parametrize("setting", [1, 3, 4])
+    def test_variance_update_takes_few_scores(self, setting):
+        # Newton on the closed-form slope needs about 6 score evaluations
+        # per M-step here; a wrong slope still reaches the root, by
+        # bisection, at about 45
+        data = simulate_setting(SimConfig.for_setting(setting, rho=0.5, seed=85))
+        with counted_scores() as calls:
+            result = fit(build_design(data.x), data.panel)
+        assert len(calls) <= 8 * (result.iterations - 1)
+
+    def test_fit_leaves_no_cyclic_garbage(self):
+        # everything a fit allocates is freed by reference counting alone
+        data = simulate_setting(SimConfig.for_setting(3, seed=86))
+        design = build_design(data.x)
+        gc.collect()
+        gc.disable()
+        try:
+            fit(design, data.panel)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_betahat_is_per_tissue_lstsq(self):
         data = simulate_setting(SimConfig.for_setting(3, seed=84))

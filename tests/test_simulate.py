@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ebshrink.em import ols, tissue_posterior
@@ -26,6 +28,8 @@ from ebshrink.simulate import (
     simulate_model_panel,
     simulate_setting,
 )
+
+from oracles import midrank_auc
 
 
 class TestSimConfig:
@@ -168,6 +172,18 @@ class TestMetrics:
         labels = rng.random(40) < 0.4
         assert auc(np.exp(scores), labels) == pytest.approx(auc(scores, labels))
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(data=st.data(), n=st.integers(2, 60), levels=st.integers(1, 8),
+           exponent=st.integers(-300, 300))
+    def test_auc_equals_midrank_reference_bitwise(self, data, n, levels, exponent):
+        # a few distinct values make heavy ties; the scale spans float range
+        values = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=levels, max_size=levels))
+        picks = data.draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        labels = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(0 < labels.sum() < n)
+        scores = np.asarray(values)[picks] * 10.0**exponent
+        assert auc(scores, labels) == midrank_auc(scores, labels)
+
     def test_auc_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
             auc([1.0, 2.0], [True, True])
@@ -258,6 +274,18 @@ class TestBayesRisk:
         delta = np.diag([2.0, 1.0, 1.0, 1.0, 0.5])
         est = mc_bayes_risk(lambda d: d.true_beta, cfg, reps=20, delta=delta)
         assert est.risk == 0.0
+
+    @pytest.mark.parametrize("fault, error", [("shape", BadShape), ("nan", NonFinite),
+                                              ("inf", NonFinite)])
+    def test_bad_delta_rejected(self, fault, error):
+        cfg = self.risk_config()
+        delta = np.eye(cfg.p + 1) if fault == "shape" else np.eye(cfg.p)
+        delta[0, 1] = {"shape": 0.0, "nan": np.nan, "inf": np.inf}[fault]
+        design = build_design(np.random.default_rng(33).standard_normal((cfg.n, cfg.p)))
+        with pytest.raises(error):
+            mc_bayes_risk(lambda draw: draw.true_beta, cfg, reps=5, delta=delta)
+        with pytest.raises(error):
+            ols_risk_exact(design, cfg.sigma2, delta)
 
     @pytest.mark.parametrize("setting", [1, 3])
     def test_batched_draws_match_one_at_a_time(self, setting):
