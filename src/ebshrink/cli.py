@@ -2,9 +2,9 @@
 
 Subcommands: fit, predict, simulate, cv, screen.  Exit codes: 0 success,
 2 usage error (argparse), 1 runtime failure (bad files, degenerate data,
-I/O).  Output bytes depend on the inputs; on large designs the BLAS thread
-count can still move results at roundoff, through X'y and the triangular
-solve in the sufficient statistics.  EBSHRINK_THREADS never moves them.
+I/O).  Output bytes depend on the inputs alone: fits, replications and CV
+folds run their linear algebra on one BLAS thread whatever the BLAS thread
+count, and EBSHRINK_THREADS only schedules work.
 """
 
 import argparse

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import one_blas_thread, parallel_map
 from .em import ResponsePanel, fit
 from .errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from .fileio import render_table, write_text
@@ -78,6 +78,7 @@ class CvReport:
         write_text(path, self.to_csv())
 
 
+@one_blas_thread
 def kfold_cv(design, panel, k=10, seed=0):
     """Cross-validated prediction metrics for every tissue.
 

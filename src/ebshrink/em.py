@@ -28,6 +28,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import expit
 
 from . import kernels
+from ._parallel import one_blas_thread
 from .errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
 from .linalg import PIVOT_RTOL, _checked_cholesky
 from .posterior import R_FLOOR, PriorParams, posterior_table
@@ -342,18 +343,22 @@ def _m_step_masked_core(stats, resp, current):
     # With eta = r * sigma2 every component density has the form
     # -0.5 * (nobs log sigma2 + Q_t(r) / sigma2 + const(r)), so for fixed r
     # the objective peaks at sigma2 = Q(r) / A, and the profile's slope in r
-    # has the sign of score(log r).
+    # has the sign of score(log r).  A signal tissue's rss is its least-squares
+    # rss plus sum(w2 / d), and r * shrink = (1 - shrink) / d, so Q(r) is a
+    # sum of nonnegative terms, which does not cancel when the tissues are
+    # fit almost exactly.
     total_obs = float((t_zero + t_one) @ nobs)
-    q_base = float(t_zero @ css + t_one @ rss)
+    q_base = float(t_zero @ css + t_one @ stats.rss_ols)
     w2_pool = (t_one[:, None] * w2).reshape(pool).sum(axis=1)
     d_pool = d.reshape(pool)[:, 0]
     d_mass = t_one.reshape(pool[:2]).sum(axis=1)[:, None] * d_pool
+    w2_scaled = w2_pool / d_pool
 
     def score(u):
         """Score and its slope in u = log r, with the profile's r and sigma2."""
         r = math.exp(u)
         shrink = 1.0 / (1.0 + r * d_pool)
-        q = (q_base - r * float((w2_pool * shrink).sum())) / total_obs
+        q = (q_base + float((w2_scaled * shrink).sum())) / total_obs
         sigma2 = max(q, stats.sigma2_floor)
         a = float((w2_pool * shrink**2).sum() / sigma2)
         # off its floor sigma2 has derivative -r a sigma2 / A in u, adding
@@ -449,6 +454,7 @@ def init_params(design, panel):
     return _init_from_stats(_SuffStats(design, panel))
 
 
+@one_blas_thread
 def fit(design, panel, options=None):
     """Fit the shared prior by EM and summarize every tissue's posterior.
 
@@ -491,6 +497,7 @@ def fit(design, panel, options=None):
     )
 
 
+@one_blas_thread
 def ols(design, panel):
     """Every tissue's least squares on its observed rows, shape (m, p).
 
@@ -503,6 +510,7 @@ def ols(design, panel):
     return _SuffStats(design, panel).betahat
 
 
+@one_blas_thread
 def tissue_posterior(design, panel, params):
     """Every tissue's posterior at fixed prior parameters, one table row each.
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from ._parallel import parallel_map
+from ._parallel import one_blas_thread, parallel_map
 from .em import ResponsePanel, fit, ols, tissue_posterior
 from .errors import BadConfig, BadShape, DegenerateLabels, EbshrinkError, NonFinite
 from .fileio import render_table, write_text
@@ -329,6 +329,7 @@ def _one_replication(config, rep_index):
         return None
 
 
+@one_blas_thread
 def run_replications(config, reps):
     """Repeat the scenario, fit both estimators, and average the metrics.
 
@@ -436,6 +437,7 @@ def _checked_delta(delta, p):
     return delta
 
 
+@one_blas_thread
 def mc_bayes_risk(estimator, config, reps, delta=None):
     """Monte Carlo Bayes risk E[(est - beta)' Delta (est - beta)].
 

@@ -270,15 +270,17 @@ class TestBlasThreadCount:
         On a one-core machine the default is one thread too, and the test has
         no power there.
         """
-        data = simulate_setting(SimConfig.for_setting(3, seed=12, n=120, p=10, m=300))
-        x_path, y_path = tmp_path / "x.tsv", tmp_path / "y.tsv"
-        write_matrix_tsv(x_path, data.x, col_ids=[f"v{j + 1}" for j in range(10)])
-        write_matrix_tsv(y_path, data.panel.y, col_ids=list(data.panel.tissue_names))
         commands = {
             "simulate3": ["simulate", "--setting", "3", "--reps", "10", "--seed", "20221128"],
             "simulate4": ["simulate", "--setting", "4", "--reps", "4", "--seed", "9"],
-            "masked_fit": ["fit", "--x", str(x_path), "--y", str(y_path)],
         }
+        # on the tall panel a threaded BLAS splits X'y and the triangular solves
+        for n, p, m in ((120, 10, 300), (2000, 40, 50)):
+            data = simulate_setting(SimConfig.for_setting(3, seed=12, n=n, p=p, m=m))
+            x_path, y_path = tmp_path / f"x{n}.tsv", tmp_path / f"y{n}.tsv"
+            write_matrix_tsv(x_path, data.x, col_ids=[f"v{j + 1}" for j in range(p)])
+            write_matrix_tsv(y_path, data.panel.y, col_ids=list(data.panel.tissue_names))
+            commands[f"masked_fit_n{n}"] = ["fit", "--x", str(x_path), "--y", str(y_path)]
         differ = []
         for name, argv in commands.items():
             outputs = []

@@ -1,6 +1,8 @@
 """Simulation designs, metrics, and the replication/risk drivers."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ebshrink.em import ols, tissue_posterior
+from ebshrink import _parallel, em
+from ebshrink.crossval import kfold_cv
+from ebshrink.em import ResponsePanel, fit, ols, tissue_posterior
 from ebshrink.errors import BadConfig, BadShape, DegenerateLabels, NonFinite
 from ebshrink.linalg import build_design
 from ebshrink.simulate import (
@@ -23,6 +27,7 @@ from ebshrink.simulate import (
     mse,
     ols_estimator,
     ols_risk_exact,
+    oracle_posterior_estimator,
     run_replications,
     shared_mean,
     simulate_model_panel,
@@ -246,6 +251,141 @@ class TestRunReplications:
     def test_bad_reps(self):
         with pytest.raises(BadConfig):
             run_replications(self.small_config(), reps=0)
+
+
+def blas_counts(pools):
+    return [get() for get, _ in pools]
+
+
+@pytest.fixture
+def blas_pools():
+    """Both OpenBLAS pools' (get, set), set to 2 threads for the test, then put back."""
+    pools = _parallel.openblas_pools()
+    # numpy and scipy wheels each bundle an OpenBLAS; without both the
+    # tests below would check nothing
+    assert len(pools) == 2
+    saved = blas_counts(pools)
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, saved):
+        put(count)
+
+
+@pytest.fixture
+def counts_inside(monkeypatch, blas_pools):
+    """Both pools' counts at every sufficient-statistics build, in any thread."""
+    seen = []
+    build = em._SuffStats
+
+    def spy(*args):
+        seen.append(blas_counts(blas_pools))
+        return build(*args)
+
+    monkeypatch.setattr(em, "_SuffStats", spy)
+    return seen
+
+
+def small_panel(seed=7):
+    data = simulate_setting(SimConfig.for_setting(3, seed=seed, n=20, p=3, m=6))
+    return build_design(data.x), data.panel
+
+
+def small_config():
+    return SimConfig.for_setting(3, seed=8, n=20, p=3, m=6)
+
+
+def run_threads(targets):
+    """Run each named target in a thread of that name; the exceptions raised."""
+    errors = []
+
+    def guarded(fn):
+        try:
+            fn()
+        except Exception as exc:  # handed to the test thread to fail there
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(fn,), name=name)
+               for name, fn in targets.items()]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+class TestOneBlasThread:
+    # each call takes both pools to one thread and gives the caller's counts back
+    ENTRY_POINTS = {
+        "fit": lambda: fit(*small_panel()),
+        "ols": lambda: ols(*small_panel()),
+        "tissue_posterior": lambda: tissue_posterior(
+            *small_panel(), model_prior_params(small_config())),
+        "run_replications": lambda: run_replications(small_config(), reps=4),
+        "mc_bayes_risk": lambda: mc_bayes_risk(oracle_posterior_estimator, small_config(), reps=4),
+        "kfold_cv": lambda: kfold_cv(*small_panel(), k=3),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_pins_then_restores(self, entry, blas_pools, counts_inside,
+                                            monkeypatch):
+        monkeypatch.setenv("EBSHRINK_THREADS", "2")
+        self.ENTRY_POINTS[entry]()
+        assert counts_inside and all(c == [1, 1] for c in counts_inside)
+        assert blas_counts(blas_pools) == [2, 2]
+
+    def test_restores_when_the_call_raises(self, blas_pools):
+        design, panel = small_panel()
+        with pytest.raises(BadShape):
+            fit(design, ResponsePanel(panel.y[:-1], mask=panel.mask[:-1]))
+        assert blas_counts(blas_pools) == [2, 2]
+
+    def test_overlapping_fits_in_two_threads(self, blas_pools, counts_inside, monkeypatch):
+        # the fit that returns first must not unpin the one still running
+        met = threading.Barrier(2, timeout=60)
+        first_done = threading.Event()
+        late = []
+        estep = em._estep_core
+
+        def held(stats, params):
+            if threading.current_thread().name == "second" and not late:
+                met.wait()
+                assert first_done.wait(60)
+                late.append(blas_counts(blas_pools))
+            return estep(stats, params)
+
+        def first():
+            met.wait()
+            fit(*small_panel(1))
+            first_done.set()
+
+        monkeypatch.setattr(em, "_estep_core", held)
+        assert run_threads({"first": first, "second": lambda: fit(*small_panel(2))}) == []
+        assert late == [[1, 1]]
+        assert len(counts_inside) == 2 and all(c == [1, 1] for c in counts_inside)
+        assert blas_counts(blas_pools) == [2, 2]
+
+    def test_many_threads_leave_the_counts_restored(self, blas_pools, counts_inside):
+        # more threads than cores, switching often: a lost depth update
+        # would unpin a running fit or leave the pools pinned
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = run_threads({f"t{s}": lambda s=s: [fit(*small_panel(s)) for _ in range(3)]
+                                  for s in range(6)})
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(counts_inside) == 18 and all(c == [1, 1] for c in counts_inside)
+        assert blas_counts(blas_pools) == [2, 2]
+
+    def test_without_pools_fits_and_leaves_counts_alone(self, blas_pools, counts_inside,
+                                                        monkeypatch):
+        monkeypatch.setattr(_parallel, "openblas_pools", lambda: ())
+        assert fit(*small_panel()).iterations >= 2
+        assert counts_inside and all(c == [2, 2] for c in counts_inside)
+        assert blas_counts(blas_pools) == [2, 2]
 
 
 class TestBayesRisk:
