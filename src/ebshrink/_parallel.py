@@ -1,8 +1,8 @@
-"""Thread-pool helpers, and one BLAS thread for each library call.
+"""In-order mapping, and one BLAS thread for each library call.
 
-Parallelism never changes results: work items are mapped in index order and
-collected in index order, so any reduction downstream sees the same operand
-sequence regardless of EBSHRINK_THREADS.
+Replications and cross-validation folds run one after another in the
+calling thread: the Python between a fit's small numpy calls holds the
+GIL, so two threads ran fits slower than one.
 
 A fit is a long run of small BLAS and LAPACK calls on p-dimensional
 statistics, where waking a second BLAS thread costs more than it saves and
@@ -16,7 +16,6 @@ import contextlib
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 # package -> (file glob of its bundled OpenBLAS in <package>.libs, symbol suffix)
 _OPENBLAS = {
@@ -25,29 +24,15 @@ _OPENBLAS = {
 }
 
 
+# perfbench/tracing.py wraps simulate.parallel_map and reads thread_count
 def thread_count():
-    """Worker count from EBSHRINK_THREADS, defaulting to the CPU count."""
-    raw = os.environ.get("EBSHRINK_THREADS", "")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k >= 1:
-        return k
-    return os.cpu_count() or 1
+    """Workers a :func:`parallel_map` call uses: always 1."""
+    return 1
 
 
 def parallel_map(fn, items):
-    """Map ``fn`` over ``items``, preserving order.
-
-    Uses a thread pool when more than one worker is configured.
-    """
-    items = list(items)
-    k = thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]``, in order, in the calling thread."""
+    return [fn(x) for x in items]
 
 
 @functools.cache
@@ -85,11 +70,11 @@ class _OneBlasThread(contextlib.ContextDecorator):
     """Context and decorator: both OpenBLAS pools on one thread inside.
 
     The thread counts are process-wide, so is this state.  Entries overlap
-    when a call nests another (the pool workers' fits inside
-    run_replications) or when two threads call at once; the outermost entry
-    saves each pool's count and sets it to 1, and the last exit restores
-    the saved counts.  While any entry is open, BLAS calls from every
-    thread of the process run on one thread.
+    when a call nests another (the fits inside run_replications) or when
+    two threads call at once; the outermost entry saves each pool's count
+    and sets it to 1, and the last exit restores the saved counts.  While
+    any entry is open, BLAS calls from every thread of the process run on
+    one thread.
     """
 
     def __init__(self):

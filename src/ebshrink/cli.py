@@ -3,8 +3,8 @@
 Subcommands: fit, predict, simulate, cv, screen.  Exit codes: 0 success,
 2 usage error (argparse), 1 runtime failure (bad files, degenerate data,
 I/O).  Output bytes depend on the inputs alone: fits, replications and CV
-folds run their linear algebra on one BLAS thread whatever the BLAS thread
-count, and EBSHRINK_THREADS only schedules work.
+folds run one after another in the calling thread, with their linear
+algebra on one BLAS thread whatever the BLAS thread count.
 """
 
 import argparse

@@ -232,16 +232,21 @@ class _SuffStats:
         return w * w, rss
 
 
+def _responsibilities(params, lg0, lg1):
+    """Responsibilities and observed-data log-likelihood from the terms at ``params``."""
+    a0 = math.log(params.tau0) + lg0
+    a1 = math.log(params.tau1) + lg1
+    loglik = float(np.logaddexp(a0, a1).sum())
+    t_one = expit(a1 - a0)
+    return np.column_stack((1.0 - t_one, t_one)), loglik
+
+
 def _estep_core(stats, params):
     w2, rss = stats.residual_stats(params.beta)
     lg0, lg1 = kernels.component_loglik(
         stats.d, w2, rss, stats.css, stats.nobs, params.sigma2, params.eta
     )
-    a0 = math.log(params.tau0) + lg0
-    a1 = math.log(params.tau1) + lg1
-    loglik = float(np.logaddexp(a0, a1).sum())
-    t_one = expit(a1 - a0)
-    resp = np.column_stack((1.0 - t_one, t_one))
+    resp, loglik = _responsibilities(params, lg0, lg1)
     return resp, loglik, lg0, lg1
 
 
@@ -304,6 +309,11 @@ def _m_step_complete_core(stats, resp):
 
 
 def _m_step_masked_core(stats, resp, current):
+    """The M-step's parameters, with both component terms (lg0, lg1) at them.
+
+    The terms come from the statistics the step formed at its new beta, so
+    the next E-step needs no statistics or densities of its own.
+    """
     t_zero = np.ascontiguousarray(resp[:, 0])
     t_one = np.ascontiguousarray(resp[:, 1])
     mass = float(t_one.sum())
@@ -334,11 +344,6 @@ def _m_step_masked_core(stats, resp, current):
 
     w2, rss = stats.residual_stats(beta)
     d, css, nobs = stats.d, stats.css, stats.nobs
-
-    def objective(sigma2, eta):
-        return kernels.weighted_mixture_loglik(
-            d, w2, rss, css, nobs, t_zero, t_one, sigma2, eta
-        )
 
     # With eta = r * sigma2 every component density has the form
     # -0.5 * (nobs log sigma2 + Q_t(r) / sigma2 + const(r)), so for fixed r
@@ -386,13 +391,17 @@ def _m_step_masked_core(stats, resp, current):
                 break
             u, older, last = u + step, last, abs(step)
         _, _, ratio, sigma2 = score(u + step)
-    eta = ratio * sigma2
+    new = PriorParams(tau1=tau1, beta=beta, eta=ratio * sigma2, sigma2=sigma2)
+    lg0, lg1 = kernels.component_loglik(d, w2, rss, css, nobs, new.sigma2, new.eta)
     # the profile need not be unimodal in r, so the root found (or a bracket
     # end) can score below the current point; keeping the current variances
     # then stays monotone
-    if objective(sigma2, eta) < objective(current.sigma2, current.eta):
-        sigma2, eta = current.sigma2, current.eta
-    return PriorParams(tau1=tau1, beta=beta, eta=eta, sigma2=sigma2)
+    if float(t_zero @ lg0 + t_one @ lg1) < kernels.weighted_mixture_loglik(
+        d, w2, rss, css, nobs, t_zero, t_one, current.sigma2, current.eta
+    ):
+        new = PriorParams(tau1=tau1, beta=beta, eta=current.eta, sigma2=current.sigma2)
+        lg0, lg1 = kernels.component_loglik(d, w2, rss, css, nobs, new.sigma2, new.eta)
+    return new, lg0, lg1
 
 
 def _init_from_stats(stats):
@@ -446,7 +455,7 @@ def m_step_masked(design, panel, resp, current):
     """
     stats = _SuffStats(design, panel)
     stats.check_mean(current)
-    return _m_step_masked_core(stats, _check_resp(resp, panel.m), current)
+    return _m_step_masked_core(stats, _check_resp(resp, panel.m), current)[0]
 
 
 def init_params(design, panel):
@@ -483,8 +492,8 @@ def fit(design, panel, options=None):
     trace = [loglik]
     converged = False
     while not converged and len(trace) < options.max_iter:
-        params = _m_step_masked_core(stats, resp, params)
-        resp, loglik, lg0, lg1 = _estep_core(stats, params)
+        params, lg0, lg1 = _m_step_masked_core(stats, resp, params)
+        resp, loglik = _responsibilities(params, lg0, lg1)
         trace.append(loglik)
         converged = abs(trace[-1] - trace[-2]) <= options.tol * (1.0 + abs(loglik))
     return FitResult(

@@ -34,7 +34,7 @@ from ebshrink.simulate import (
     simulate_setting,
 )
 
-from conftest import one_tissue, record_criterion
+from conftest import blas_threads, one_tissue, record_criterion
 from oracles import (
     dense_component_logliks,
     dense_responsibility,
@@ -332,7 +332,7 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    def test_cli_byte_determinism(self, tmp_path, monkeypatch, capsys):
+    def test_cli_byte_determinism(self, tmp_path, capsys):
         data = simulate_setting(
             SimConfig.for_setting(1, rho=0.0, beta_s=2.0, seed=9, n=30, p=5, m=8)
         )
@@ -368,12 +368,12 @@ class TestCriterion9:
         ok = True
         for name, argv in commands.items():
             outputs = set()
-            for threads in ("1", "4"):
-                monkeypatch.setenv("EBSHRINK_THREADS", threads)
-                for run in range(2):
-                    out = tmp_path / f"{name}-{threads}-{run}.out"
-                    assert cli_main(argv + ["--out", str(out)]) == 0
-                    outputs.add(out.read_bytes())
+            for threads in (1, 2):
+                with blas_threads(threads):
+                    for run in range(2):
+                        out = tmp_path / f"{name}-{threads}-{run}.out"
+                        assert cli_main(argv + ["--out", str(out)]) == 0
+                        outputs.add(out.read_bytes())
             ok = ok and len(outputs) == 1
         capsys.readouterr()
         record_criterion(

@@ -20,6 +20,8 @@ from ebshrink.em import ResponsePanel, fit
 from ebshrink.errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from ebshrink.linalg import build_design
 
+from conftest import blas_threads
+
 
 def fitted_toy(seed=0, n=14, p=2, m=3):
     rng = np.random.default_rng(seed)
@@ -100,7 +102,6 @@ def record_folds(monkeypatch, x):
         calls.append((np.array(rows), pred))
         return pred
 
-    monkeypatch.setenv("EBSHRINK_THREADS", "1")
     monkeypatch.setattr(crossval, "predict", recording_predict)
     return calls
 
@@ -152,14 +153,14 @@ class TestKfoldCv:
         kfold_cv(d, panel, k=4, seed=0)
         assert sorted(seen) == [(15, True)] * 4
 
-    def test_masked_bytes_across_threads_and_reruns(self, monkeypatch):
+    def test_masked_bytes_across_threads_and_reruns(self):
         x, panel = masked_toy(48, n=30, p=3, m=6, missing=8)
         d = build_design(x)
         outputs = set()
-        for threads in ("1", "4"):
-            monkeypatch.setenv("EBSHRINK_THREADS", threads)
-            for _ in range(2):
-                outputs.add(kfold_cv(d, panel, k=5, seed=3).to_csv())
+        for threads in (1, 2):
+            with blas_threads(threads):
+                for _ in range(2):
+                    outputs.add(kfold_cv(d, panel, k=5, seed=3).to_csv())
         assert len(outputs) == 1
 
     def test_strong_signal_scores_well(self):

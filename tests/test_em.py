@@ -42,6 +42,21 @@ from oracles import (
 )
 
 
+class DrawnStats(_SuffStats):
+    """Pooled statistics given directly: L = I and one basis per tissue, I.
+
+    css is the least-squares rss plus sum(pb^2 / d), as the reduction forms it.
+    """
+
+    def __init__(self, d, pb, rss_ols, nobs):
+        self.m, self.p = d.shape
+        self.d, self.pb, self.rss_ols, self.nobs = d, pb, rss_ols, nobs
+        self.vecs = np.broadcast_to(np.eye(self.p), (self.m, self.p, self.p))
+        self.gram_factor = np.eye(self.p)
+        self.css = rss_ols + np.sum(pb**2 / d, axis=1)
+        self.sigma2_floor = 1e-12 * float(self.css.sum()) / (self.m * float(nobs.max()))
+
+
 def random_problem(rng, n=10, p=2, m=4, missing=0):
     x = rng.standard_normal((n, p))
     y = rng.standard_normal((n, m))
@@ -526,6 +541,36 @@ class TestMStepMasked:
                  (self.near_exact_step(1e-3, ratio) for ratio in (1e-11, 1e-6, 1e-2))}
         assert len(roots) == 1
 
+    def test_guard_keeps_the_variances_when_the_root_scores_lower(self):
+        # the profile in r need not be unimodal; on these pooled statistics
+        # (one covariate, L = I, a tissue with d = 3.1e-8) Newton from the
+        # current ratio, near the floor, finds a root at r = 1.6e8 that
+        # scores below the current variances, and below the start too, so
+        # the step keeps them.  Found by a seeded search over drawn
+        # statistics; no simulated fit has reached this branch
+        stats = DrawnStats(
+            d=np.array([[3.1e-8], [0.14], [0.16]]),
+            pb=np.array([[0.0005], [0.0023], [0.75]]),
+            rss_ols=np.array([0.16, 2.5, 1.6]),
+            nobs=np.array([7.0, 4.0, 11.0]),
+        )
+        t1 = np.array([0.51, 0.3, 0.43])
+        resp = np.column_stack([1.0 - t1, t1])
+        current = PriorParams(tau1=0.5, beta=np.array([0.5]), eta=6.9e-13, sigma2=0.42)
+        new, lg0, lg1 = em._m_step_masked_core(stats, resp, current)
+        assert (new.sigma2, new.eta) == (current.sigma2, current.eta)
+        w2, rss = stats.residual_stats(new.beta)
+        ref0, ref1 = kernels.component_loglik(
+            stats.d, w2, rss, stats.css, stats.nobs, new.sigma2, new.eta
+        )
+        assert np.array_equal(lg0, ref0) and np.array_equal(lg1, ref1)
+        w2_start, rss_start = stats.residual_stats(current.beta)
+        start = kernels.weighted_mixture_loglik(
+            stats.d, w2_start, rss_start, stats.css, stats.nobs, resp[:, 0], t1,
+            current.sigma2, current.eta,
+        )
+        assert float(resp[:, 0] @ lg0 + t1 @ lg1) >= start
+
     def test_roundoff_negative_responsibilities_are_clipped(self):
         # _check_resp admits entries down to -1e-12; the GLS weights take
         # their square root, so they must reach the step clipped to [0, 1]
@@ -587,6 +632,23 @@ class TestFit:
         with counted_scores() as calls:
             result = fit(build_design(data.x), data.panel)
         assert len(calls) <= 8 * (result.iterations - 1)
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_one_residual_stats_per_iteration(self, setting, monkeypatch):
+        # the initial E-step forms the statistics once, then each M-step
+        # forms them at its new beta and the next E-step reuses them
+        calls = []
+        residual_stats = _SuffStats.residual_stats
+
+        def counted(self, beta):
+            calls.append(beta)
+            return residual_stats(self, beta)
+
+        monkeypatch.setattr(_SuffStats, "residual_stats", counted)
+        data = simulate_setting(SimConfig.for_setting(setting, rho=0.5, seed=85))
+        result = fit(build_design(data.x), data.panel)
+        assert result.iterations >= 3
+        assert len(calls) == result.iterations
 
     def test_fit_leaves_no_cyclic_garbage(self):
         # everything a fit allocates is freed by reference counting alone

@@ -34,6 +34,7 @@ from ebshrink.simulate import (
     simulate_setting,
 )
 
+from conftest import blas_threads
 from oracles import midrank_auc
 
 
@@ -236,11 +237,11 @@ class TestRunReplications:
         report.write(out)
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("EBSHRINK_THREADS", "1")
-        serial = run_replications(self.small_config(), reps=4).to_csv()
-        monkeypatch.setenv("EBSHRINK_THREADS", "4")
-        threaded = run_replications(self.small_config(), reps=4).to_csv()
+    def test_thread_count_does_not_change_results(self):
+        with blas_threads(1):
+            serial = run_replications(self.small_config(), reps=4).to_csv()
+        with blas_threads(2):
+            threaded = run_replications(self.small_config(), reps=4).to_csv()
         assert serial == threaded
 
     def test_same_seed_same_csv(self):
@@ -260,16 +261,8 @@ def blas_counts(pools):
 @pytest.fixture
 def blas_pools():
     """Both OpenBLAS pools' (get, set), set to 2 threads for the test, then put back."""
-    pools = _parallel.openblas_pools()
-    # numpy and scipy wheels each bundle an OpenBLAS; without both the
-    # tests below would check nothing
-    assert len(pools) == 2
-    saved = blas_counts(pools)
-    for _, put in pools:
-        put(2)
-    yield pools
-    for (_, put), count in zip(pools, saved):
-        put(count)
+    with blas_threads(2):
+        yield _parallel.openblas_pools()
 
 
 @pytest.fixture
@@ -328,9 +321,7 @@ class TestOneBlasThread:
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_entry_point_pins_then_restores(self, entry, blas_pools, counts_inside,
-                                            monkeypatch):
-        monkeypatch.setenv("EBSHRINK_THREADS", "2")
+    def test_entry_point_pins_then_restores(self, entry, blas_pools, counts_inside):
         self.ENTRY_POINTS[entry]()
         assert counts_inside and all(c == [1, 1] for c in counts_inside)
         assert blas_counts(blas_pools) == [2, 2]
