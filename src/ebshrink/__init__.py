@@ -8,16 +8,12 @@ probabilities and shrunken coefficients, and ships the simulation and
 risk machinery used to evaluate the estimator.
 """
 
-from .crossval import CvReport, kfold_cv, pmse, predict, r_squared, stouffer_combine
+from .crossval import CvReport, kfold_cv, predict, r_squared, stouffer_combine
 from .em import (
     FitOptions,
     FitResult,
     ResponsePanel,
-    e_step,
     fit,
-    init_params,
-    m_step_complete,
-    m_step_masked,
     ols,
     tissue_posterior,
 )
@@ -25,7 +21,6 @@ from .errors import (
     BadConfig,
     BadShape,
     DegenerateLabels,
-    DegenerateResponsibilities,
     EbshrinkError,
     FoldTooSmall,
     NaInCovariates,
@@ -66,7 +61,6 @@ __all__ = [
     "BadShape",
     "CvReport",
     "DegenerateLabels",
-    "DegenerateResponsibilities",
     "Design",
     "EbshrinkError",
     "FitOptions",
@@ -86,19 +80,14 @@ __all__ = [
     "SimReport",
     "auc",
     "build_design",
-    "e_step",
     "fit",
-    "init_params",
     "kfold_cv",
-    "m_step_complete",
-    "m_step_masked",
     "mc_bayes_risk",
     "mse",
     "ols",
     "ols_estimator",
     "ols_risk_exact",
     "oracle_posterior_estimator",
-    "pmse",
     "predict",
     "r_squared",
     "read_fit_json",

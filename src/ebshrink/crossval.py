@@ -17,7 +17,7 @@ from .em import ResponsePanel, fit
 from .errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from .fileio import render_table, write_text
 from .linalg import build_design
-from .simulate import mse as pmse
+from .simulate import mse
 
 
 def predict(x_new, fit_result):
@@ -143,7 +143,7 @@ def kfold_cv(design, panel, k=10, seed=0):
             CvTissueRow(
                 tissue=panel.tissue_names[t],
                 n_obs=int(obs.sum()),
-                pmse=pmse(held_pred[obs, t], panel.y[obs, t]),
+                pmse=mse(held_pred[obs, t], panel.y[obs, t]),
                 r2=r_squared(held_pred[obs, t], panel.y[obs, t]),
             )
         )

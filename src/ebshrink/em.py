@@ -212,11 +212,6 @@ class _SuffStats:
         self.betahat = self.to_coefficients(self.pb / self.d)
         self.rss_ols = np.maximum(self.css - np.sum(self.pb**2 / self.d, axis=1), 0.0)
 
-    def check_mean(self, params):
-        """Raise BadShape unless params.beta has one entry per covariate."""
-        if params.beta.shape != (self.p,):
-            raise BadShape(f"beta has shape {params.beta.shape}, design has p = {self.p}")
-
     def to_coefficients(self, c):
         """L^-T V_t c_t for every row c_t of the (m, p) eigenbasis array c."""
         back = (c[:, None, :] @ self.vecs)[:, 0, :]
@@ -269,17 +264,8 @@ def _summarize(stats, params, resp, lg0, lg1):
     return posterior_table(h, h[:, None] * cond, cond, log_bf, log_odds)
 
 
-def _check_resp(resp, m):
-    resp = np.asarray(resp, dtype=np.float64)
-    if resp.shape != (m, 2):
-        raise BadShape(f"responsibilities must have shape ({m}, 2), got {resp.shape}")
-    if np.any(resp < -1e-12) or np.any(np.abs(resp.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("responsibility rows must be nonnegative and sum to 1")
-    return np.clip(resp, 0.0, 1.0)
-
-
-# fit does not call this closed form.  It stays as the tested reference
-# behind m_step_complete, which criterion 6 checks against a numeric
+# fit does not call this closed form.  It stays as the tests' reference for
+# the complete-panel M-step, which criterion 6 checks against a numeric
 # maximizer, and under this name because the benchmark tracer wraps it.
 def _m_step_complete_core(stats, resp):
     t_one = resp[:, 1]
@@ -309,10 +295,20 @@ def _m_step_complete_core(stats, resp):
 
 
 def _m_step_masked_core(stats, resp, current):
-    """The M-step's parameters, with both component terms (lg0, lg1) at them.
+    """The M-step :func:`fit` takes on every panel, complete or masked.
 
-    The terms come from the statistics the step formed at its new beta, so
-    the next E-step needs no statistics or densities of its own.
+    tau1 and beta update in closed form (beta by responsibility-weighted
+    GLS at the current variance parameters).  With sigma2 the closed-form
+    maximizer at each r = eta/sigma2, r is the root of the profile's slope
+    in log r, by Newton steps that bisect on leaving the sign bracket in
+    [R_FLOOR, 1e26], or R_FLOOR when the slope is not positive there; when
+    that lands below the current variances they are kept.  The EM objective
+    never decreases.  With zero signal mass beta is kept and tau1 falls to
+    its clamp floor.
+
+    Returns the new parameters with both component terms (lg0, lg1) at
+    them.  The terms come from the statistics the step formed at its new
+    beta, so the next E-step needs no statistics or densities of its own.
     """
     t_zero = np.ascontiguousarray(resp[:, 0])
     t_one = np.ascontiguousarray(resp[:, 1])
@@ -405,6 +401,7 @@ def _m_step_masked_core(stats, resp, current):
 
 
 def _init_from_stats(stats):
+    """Moment-style starting point from per-tissue least squares."""
     beta0 = stats.betahat.mean(axis=0)
     dof = float(np.sum(stats.nobs - stats.p))
     sigma2 = max(float(stats.rss_ols.sum()) / dof, stats.sigma2_floor)
@@ -412,55 +409,6 @@ def _init_from_stats(stats):
     spread = float(np.mean(np.sum(lt_dev**2, axis=1))) / stats.p
     eta0 = max(spread - sigma2, 10.0 * R_FLOOR * sigma2)
     return PriorParams(tau1=0.5, beta=beta0, eta=eta0, sigma2=sigma2)
-
-
-def e_step(design, panel, params):
-    """Responsibilities and observed-data log-likelihood at ``params``.
-
-    Returns
-    -------
-    (resp, loglik) : ndarray of shape (m, 2), float
-        Rows of resp are (P[null], P[signal]) and sum to 1 exactly.
-    """
-    stats = _SuffStats(design, panel)
-    stats.check_mean(params)
-    resp, loglik, _, _ = _estep_core(stats, params)
-    return resp, loglik
-
-
-def m_step_complete(design, panel, resp):
-    """Closed-form parameter update for a fully observed panel.
-
-    The reference :func:`m_step_masked` reproduces on complete panels;
-    :func:`fit` does not call it.  Raises DegenerateResponsibilities when
-    the signal component has no mass.
-    """
-    if not panel.complete:
-        raise BadShape("m_step_complete requires a fully observed panel")
-    stats = _SuffStats(design, panel)
-    return _m_step_complete_core(stats, _check_resp(resp, panel.m))
-
-
-def m_step_masked(design, panel, resp, current):
-    """The M-step :func:`fit` takes on every panel, complete or masked.
-
-    tau1 and beta update in closed form (beta by responsibility-weighted
-    GLS at the current variance parameters).  With sigma2 the closed-form
-    maximizer at each r = eta/sigma2, r is the root of the profile's slope
-    in log r, by Newton steps that bisect on leaving the sign bracket in
-    [R_FLOOR, 1e26], or R_FLOOR when the slope is not positive there; when
-    that lands below the current variances they are kept.  The EM objective
-    never decreases.  With zero signal mass beta is kept and tau1 falls to
-    its clamp floor.
-    """
-    stats = _SuffStats(design, panel)
-    stats.check_mean(current)
-    return _m_step_masked_core(stats, _check_resp(resp, panel.m), current)[0]
-
-
-def init_params(design, panel):
-    """Moment-style starting point from per-tissue least squares."""
-    return _init_from_stats(_SuffStats(design, panel))
 
 
 @one_blas_thread
@@ -481,9 +429,9 @@ def fit(design, panel, options=None):
     Notes
     -----
     Convergence is declared when the observed-data log-likelihood changes
-    by at most tol * (1 + |loglik|) between iterations.  Every M-step is
-    :func:`m_step_masked`'s, so when all signal responsibility mass
-    vanishes beta is kept and tau1 falls to its clamp floor.
+    by at most tol * (1 + |loglik|) between iterations.  Complete and
+    masked panels take the same M-step, so when all signal responsibility
+    mass vanishes beta is kept and tau1 falls to its clamp floor.
     """
     options = options or FitOptions()
     stats = _SuffStats(design, panel)
@@ -530,6 +478,7 @@ def tissue_posterior(design, panel, params):
     does, and BadShape when params.beta does not have p entries.
     """
     stats = _SuffStats(design, panel)
-    stats.check_mean(params)
+    if params.beta.shape != (stats.p,):
+        raise BadShape(f"beta has shape {params.beta.shape}, design has p = {stats.p}")
     resp, _, lg0, lg1 = _estep_core(stats, params)
     return _summarize(stats, params, resp, lg0, lg1)

@@ -3,7 +3,9 @@
 Everything here deliberately takes the slow, explicit route: dense n x n
 covariances, direct quadrature, black-box numeric optimization.  None of
 it shares code with the package's low-rank evaluation paths, so agreement
-is evidence of correctness rather than of consistency.
+is evidence of correctness rather than of consistency.  The one exception
+is the EM steps at the end: thin call-throughs into the package's private
+cores, for tests that check one step at a time.
 """
 
 from types import SimpleNamespace
@@ -15,6 +17,13 @@ from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, rankdata
 
+from ebshrink.em import (
+    _estep_core,
+    _init_from_stats,
+    _m_step_complete_core,
+    _m_step_masked_core,
+    _SuffStats,
+)
 from ebshrink.errors import NaInCovariates, ParseError
 
 
@@ -363,3 +372,31 @@ def render_table_per_cell(header, rows, sep="\t"):
             raise ValueError("separator or line break in a cell")
         lines.append(sep.join(cells))
     return "".join(line + "\n" for line in lines)
+
+
+# One EM step at a time through the cores fit runs, each from statistics
+# built afresh.  They validate nothing beyond what _SuffStats checks: fit,
+# ols, tissue_posterior and kfold_cv are the entries that check their input.
+
+
+def e_step(design, panel, params):
+    """(resp, loglik) at ``params``: rows of resp are (P[null], P[signal])."""
+    return _estep_core(_SuffStats(design, panel), params)[:2]
+
+
+def m_step_complete(design, panel, resp):
+    """The closed-form M-step on a complete panel, which fit never takes.
+
+    Raises DegenerateResponsibilities when the signal component has no mass.
+    """
+    return _m_step_complete_core(_SuffStats(design, panel), resp)
+
+
+def m_step_masked(design, panel, resp, current):
+    """The parameters of the M-step fit takes on every panel."""
+    return _m_step_masked_core(_SuffStats(design, panel), resp, current)[0]
+
+
+def init_params(design, panel):
+    """fit's starting point, from per-tissue least squares."""
+    return _init_from_stats(_SuffStats(design, panel))

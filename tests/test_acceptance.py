@@ -11,14 +11,7 @@ import time
 import numpy as np
 
 from ebshrink.cli import cli_main
-from ebshrink.em import (
-    FitOptions,
-    ResponsePanel,
-    e_step,
-    fit,
-    m_step_complete,
-    tissue_posterior,
-)
+from ebshrink.em import FitOptions, ResponsePanel, fit, tissue_posterior
 from ebshrink.fileio import write_matrix_tsv
 from ebshrink.linalg import build_design
 from ebshrink.posterior import PriorParams
@@ -38,6 +31,8 @@ from conftest import blas_threads, one_tissue, record_criterion
 from oracles import (
     dense_component_logliks,
     dense_responsibility,
+    e_step,
+    m_step_complete,
     numeric_q_max_complete,
     quad_posterior_mean_1d,
 )

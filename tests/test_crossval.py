@@ -11,7 +11,6 @@ from ebshrink.crossval import (
     CvReport,
     CvTissueRow,
     kfold_cv,
-    pmse,
     predict,
     r_squared,
     stouffer_combine,
@@ -19,6 +18,7 @@ from ebshrink.crossval import (
 from ebshrink.em import ResponsePanel, fit
 from ebshrink.errors import BadShape, FoldTooSmall, NonFinite, RankDeficient
 from ebshrink.linalg import build_design
+from ebshrink.simulate import mse
 
 from conftest import blas_threads
 
@@ -61,21 +61,21 @@ class TestPredict:
 class TestMetrics:
     def test_perfect_prediction(self):
         truth = np.array([1.0, 2.0, 3.0])
-        assert pmse(truth, truth) == 0.0
+        assert mse(truth, truth) == 0.0
         assert r_squared(truth, truth) == 1.0
 
     def test_affine_rescaling_keeps_r2(self):
         truth = np.array([1.0, 2.0, 3.0, 4.0])
         pred = 2.0 * truth + 1.0
         assert r_squared(pred, truth) == pytest.approx(1.0)
-        assert pmse(pred, truth) > 0.0
+        assert mse(pred, truth) > 0.0
 
     def test_constant_prediction_has_zero_r2(self):
         truth = np.array([1.0, 2.0, 3.0])
         assert r_squared(np.full(3, 9.0), truth) == 0.0
 
     def test_pmse_hand_value(self):
-        assert pmse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
+        assert mse([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
 
 
 def masked_toy(seed, n=20, p=2, m=3, missing=4):
@@ -138,7 +138,7 @@ class TestKfoldCv:
             held[rows] = pred
         for row, t in zip(report.rows, range(panel.m)):
             obs = panel.mask[:, t]
-            assert row.pmse == pmse(held[obs, t], panel.y[obs, t])
+            assert row.pmse == mse(held[obs, t], panel.y[obs, t])
             assert row.r2 == r_squared(held[obs, t], panel.y[obs, t])
 
     def test_complete_panel_trains_on_complete_panels(self, monkeypatch):
