@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
 from . import kernels
@@ -335,8 +335,11 @@ def _m_step_masked_core(stats, resp, current):
         half = np.sqrt(wgt).reshape(-1, 1) * rows
         mat = half.T @ half
         factor = _checked_cholesky(mat, "GLS normal matrix")
-        lt_beta = cho_solve((factor, True), rows.T @ rhs.ravel())
-        beta = solve_triangular(stats.gram_factor.T, lt_beta, lower=False)
+        # both factors have checked pivots (L's in build_design), so the
+        # solves cannot fail and go to LAPACK without scipy's finiteness
+        # re-checks; a non-finite beta is refused by PriorParams
+        lt_beta, _ = lapack.dpotrs(factor, rows.T @ rhs.ravel(), lower=1)
+        beta, _ = lapack.dtrtrs(stats.gram_factor, lt_beta, lower=1, trans=1)
 
     w2, rss = stats.residual_stats(beta)
     d, css, nobs = stats.d, stats.css, stats.nobs
@@ -350,23 +353,30 @@ def _m_step_masked_core(stats, resp, current):
     # fit almost exactly.
     total_obs = float((t_zero + t_one) @ nobs)
     q_base = float(t_zero @ css + t_one @ stats.rss_ols)
-    w2_pool = (t_one[:, None] * w2).reshape(pool).sum(axis=1)
+    # the score's weighted sums run over flat pooled vectors fixed for the
+    # whole step, so an evaluation is a reciprocal, four dot products and
+    # one sum.  Q(r) keeps numpy's pairwise sum: as a dot product, its
+    # rounding left a near-exact panel's roots from different starts one
+    # ulp apart
     d_pool = d.reshape(pool)[:, 0]
-    d_mass = t_one.reshape(pool[:2]).sum(axis=1)[:, None] * d_pool
-    w2_scaled = w2_pool / d_pool
+    d_flat = d_pool.ravel()
+    w2_flat = (t_one[:, None] * w2).reshape(pool).sum(axis=1).ravel()
+    mass_d = (t_one.reshape(pool[:2]).sum(axis=1)[:, None] * d_pool).ravel()
+    w2_by_d, w2_d, mass_d2 = w2_flat / d_flat, w2_flat * d_flat, mass_d * d_flat
 
     def score(u):
         """Score and its slope in u = log r, with the profile's r and sigma2."""
         r = math.exp(u)
-        shrink = 1.0 / (1.0 + r * d_pool)
-        q = (q_base + float((w2_scaled * shrink).sum())) / total_obs
+        shrink = 1.0 / (1.0 + r * d_flat)
+        shrink2 = shrink * shrink
+        q = (q_base + float((w2_by_d * shrink).sum())) / total_obs
         sigma2 = max(q, stats.sigma2_floor)
-        a = float((w2_pool * shrink**2).sum() / sigma2)
+        a = float(w2_flat @ shrink2) / sigma2
         # off its floor sigma2 has derivative -r a sigma2 / A in u, adding
         # r a^2 / A; sigma2^2 is never formed, it underflows near 1e-100 scales
-        slope = r * float(((d_mass - 2.0 * w2_pool * shrink / sigma2) * d_pool * shrink**2).sum())
+        slope = r * (float(mass_d2 @ shrink2) - 2.0 * float(w2_d @ (shrink2 * shrink)) / sigma2)
         slope += r * a * a / total_obs if q > stats.sigma2_floor else 0.0
-        return a - float((d_mass * shrink).sum()), slope, r, sigma2
+        return a - float(mass_d @ shrink), slope, r, sigma2
 
     # the r bracket [R_FLOOR, 1e26] holds ratios, so it is the same at every
     # response scale; log space keeps the root search well conditioned

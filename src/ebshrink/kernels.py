@@ -45,8 +45,8 @@ def component_loglik(d, w2, rss, css, nobs, sigma2, eta):
     log_s2 = np.log(sigma2)
     lg0 = -0.5 * (nobs * (_LOG_2PI + log_s2) + css / sigma2)
     shifted = sigma2 + eta * d
-    logdet = (nobs - p) * log_s2 + np.sum(np.log(shifted), axis=1)
-    quad = rss / sigma2 - (eta / sigma2) * np.sum(w2 / shifted, axis=1)
+    logdet = (nobs - p) * log_s2 + np.log(shifted).sum(axis=1)
+    quad = rss / sigma2 - (eta / sigma2) * (w2 / shifted).sum(axis=1)
     lg1 = -0.5 * (nobs * _LOG_2PI + logdet + quad)
     return lg0, lg1
 

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import BadShape, NonFinite, RankDeficient
 
@@ -36,18 +37,19 @@ class Design:
 def _checked_cholesky(a, what):
     """Lower Cholesky factor of ``a``, raising RankDeficient when unstable.
 
-    A non-finite ``a`` raises NonFinite: np.linalg.cholesky returns NaN for
-    it without raising, and NaN pivots pass every comparison.
+    A non-finite ``a`` raises NonFinite: LAPACK factors a NaN entry, or an
+    infinite diagonal one, without an error, and NaN pivots pass every
+    comparison.  The factor is LAPACK's own (Fortran order, upper triangle
+    zeroed), which the callers hand straight back to LAPACK solves.
     """
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"{what} contains NaN or infinite entries")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"{what} is not positive definite") from exc
+    low, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info:
+        raise RankDeficient(f"{what} is not positive definite")
     # pivot_j^2 / a_jj is 1 - R^2 of column j on the columns before it, so
     # rescaling the columns cannot move it
-    if np.min(np.diagonal(low) ** 2 / np.diagonal(a)) < PIVOT_RTOL:
+    if (low.diagonal() ** 2 / a.diagonal()).min() < PIVOT_RTOL:
         raise RankDeficient(f"{what} is numerically rank deficient")
     return low
 

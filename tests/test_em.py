@@ -23,7 +23,7 @@ from ebshrink.em import (
     tissue_posterior,
 )
 from ebshrink.errors import BadShape, DegenerateResponsibilities, NonFinite, RankDeficient
-from ebshrink.linalg import build_design
+from ebshrink.linalg import PIVOT_RTOL, build_design
 from ebshrink.posterior import R_FLOOR, PriorParams
 from ebshrink.simulate import SimConfig, simulate_setting
 
@@ -158,6 +158,15 @@ def assert_posteriors_close(got, want, rtol=1e-9):
     assert_allclose(got.post_mean, want.post_mean, rtol=rtol)
 
 
+def assert_finite_fit(res):
+    """Finite trace, parameters and posteriors, and every h in [0, 1]."""
+    params, post = res.params, res.posteriors
+    assert np.all(np.isfinite(res.loglik_trace))
+    assert np.all(np.isfinite([params.tau1, params.eta, params.sigma2, *params.beta]))
+    assert all(np.all(np.isfinite(post[name])) for name in post.dtype.names)
+    assert np.all((post.h >= 0.0) & (post.h <= 1.0))
+
+
 class TestResponsePanel:
     def test_auto_names(self):
         panel = ResponsePanel(np.zeros((4, 3)))
@@ -221,6 +230,28 @@ def collinear_panel(noise):
     coefs = np.array([1.0, -0.5, 0.3, 0.8])[:, None] + 0.5 * rng.standard_normal((p, m))
     coefs[:, 3:] = 0.0
     y = x @ coefs + rng.standard_normal((n, m))
+    return x, ResponsePanel(np.where(mask, y, np.nan), mask=mask)
+
+
+def threshold_panel(share, scale):
+    """Tissue t2's observed rows hold ``share`` of X'X along column 0.
+
+    X's columns are orthonormal, so X'X = I and the whitened rows are X's
+    own rows.  Column 0 puts all but ``share`` of its mass on row 0, the
+    one row t2 misses, which leaves t2's whitened Gram diag(share, 1, 1);
+    the other tissues observe every row.  Column 0 is then multiplied by
+    ``scale``, which the whitened eigenvalues do not see.
+    """
+    rng = np.random.default_rng(11)
+    n, p, m = 12, 3, 4
+    x = np.zeros((n, p))
+    x[1:] = np.linalg.qr(rng.standard_normal((n - 1, p)))[0]
+    x[1:, 0] *= math.sqrt(share)
+    x[0, 0] = math.sqrt(1.0 - share)
+    y = x @ rng.standard_normal((p, m)) + 0.1 * rng.standard_normal((n, m))
+    mask = np.ones((n, m), dtype=bool)
+    mask[0, 1] = False
+    x[:, 0] *= scale
     return x, ResponsePanel(np.where(mask, y, np.nan), mask=mask)
 
 
@@ -300,6 +331,19 @@ class TestSuffStats:
         x[:, 0] *= scale
         with pytest.raises(RankDeficient, match="tissue t2"):
             fit(build_design(x), panel)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_whitened_eigenvalue_threshold(self, scale):
+        # a tissue keeping just under PIVOT_RTOL of X'X along a direction is
+        # refused by name, one keeping just over it fits; the shares are
+        # whitened, so the column's scale moves neither side
+        x, panel = threshold_panel(0.99 * PIVOT_RTOL, scale)
+        with pytest.raises(RankDeficient, match="tissue t2 is numerically rank deficient"):
+            fit(build_design(x), panel)
+        x, panel = threshold_panel(1.01 * PIVOT_RTOL, scale)
+        design = build_design(x)
+        assert _SuffStats(design, panel).d[1, 0] == pytest.approx(1.01 * PIVOT_RTOL, rel=1e-9)
+        assert_finite_fit(fit(design, panel))
 
 
 class TestEStep:
@@ -565,6 +609,42 @@ class TestMStepMasked:
         )
         assert float(resp[:, 0] @ lg0 + t1 @ lg1) >= start
 
+    @staticmethod
+    def one_signal_tissue(d, pb):
+        """Drawn statistics and responsibilities: only tissue 0 has signal mass."""
+        stats = DrawnStats(d=d, pb=pb, rss_ols=np.array([1.0, 2.0, 1.5]),
+                           nobs=np.array([6.0, 7.0, 8.0]))
+        t1 = np.array([0.8, 0.0, 0.0])
+        current = PriorParams(tau1=0.5, beta=np.zeros(2), eta=1.0, sigma2=1.0)
+        return stats, np.column_stack([1.0 - t1, t1]), current
+
+    def test_singular_gls_normal_matrix_is_rank_deficient(self):
+        # the only tissue with signal mass has an eigenvalue of 0, so the
+        # normal matrix is singular along it
+        d = np.array([[0.4, 0.5], [0.3, 0.9], [0.2, 0.6]])
+        stats, resp, current = self.one_signal_tissue(d, np.full((3, 2), 0.1))
+        stats.d[0, 0] = 0.0
+        with pytest.raises(RankDeficient, match="GLS normal matrix is not positive definite"):
+            em._m_step_masked_core(stats, resp, current)
+
+    def test_non_finite_gls_normal_matrix_is_non_finite(self):
+        # a NaN eigenvalue of the signal tissue carries into the normal matrix
+        d = np.array([[0.4, 0.5], [0.3, 0.9], [0.2, 0.6]])
+        stats, resp, current = self.one_signal_tissue(d, np.full((3, 2), 0.1))
+        stats.d[0, 1] = np.nan
+        with pytest.raises(NonFinite, match="GLS normal matrix contains NaN or infinite"):
+            em._m_step_masked_core(stats, resp, current)
+
+    def test_overflowing_gls_solution_is_non_finite(self):
+        # tissue 0 keeps 1e-320 of X'X along one direction with a response
+        # of 1e-10 there, so L'beta = pb / d overflows; PriorParams refuses
+        # the beta.  The residuals at it are NaN, which numpy warns about
+        d = np.array([[1e-320, 0.5], [0.3, 0.9], [0.2, 0.6]])
+        pb = np.array([[1e-10, 0.1], [0.2, 0.3], [0.1, 0.2]])
+        stats, resp, current = self.one_signal_tissue(d, pb)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="beta"):
+            em._m_step_masked_core(stats, resp, current)
+
 
 class TestInitParams:
     def test_beta_from_shared_signal(self):
@@ -728,6 +808,30 @@ class TestFit:
         assert floor <= res.params.sigma2 <= 1e-9
         post_mean = np.column_stack([tp.post_mean for tp in res.posteriors])
         assert_allclose(post_mean, coefs, rtol=1e-6)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(data=st.data(), p=st.integers(1, 4), m=st.integers(1, 6), spare=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_noise_free_panels_with_drawn_masks(self, data, p, m, spare, seed, spread):
+        # y = XB exactly under drawn masks: the variance updates take the
+        # score's floored-sigma2 branch, and the fit ends on the floor itself
+        rng = np.random.default_rng(seed)
+        n = p + 1 + spare
+        x = rng.standard_normal((n, p))
+        coefs = rng.standard_normal(p)[:, None] + spread * rng.standard_normal((p, m))
+        mask = np.ones((n, m), dtype=bool)
+        for t in range(m):
+            n_obs = data.draw(st.integers(p + 1, n))
+            mask[rng.choice(n, n - n_obs, replace=False), t] = False
+        design = build_design(x)
+        panel = ResponsePanel(np.where(mask, x @ coefs, np.nan), mask=mask)
+        try:
+            floor = _SuffStats(design, panel).sigma2_floor
+        except RankDeficient:
+            assume(False)
+        res = fit(design, panel)
+        assert_finite_fit(res)
+        assert res.params.sigma2 == floor
 
     def test_max_iter_ends_on_estep(self):
         # the last trace entry and h belong to the returned params
@@ -948,13 +1052,9 @@ class TestFit:
             res = fit(build_design(x), panel)
         except RankDeficient:
             assume(False)
-        params, post = res.params, res.posteriors
-        assert np.all(np.isfinite(res.loglik_trace))
-        assert np.all(np.isfinite([params.tau1, params.eta, params.sigma2, *params.beta]))
-        assert all(np.all(np.isfinite(post[name])) for name in post.dtype.names)
-        assert np.all((post.h >= 0.0) & (post.h <= 1.0))
+        assert_finite_fit(res)
         if case == "duplicated":
-            assert post[:1].tobytes() == post[1:2].tobytes()
+            assert res.posteriors[:1].tobytes() == res.posteriors[1:2].tobytes()
 
     def test_null_data_converges(self):
         rng = np.random.default_rng(89)

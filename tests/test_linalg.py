@@ -139,9 +139,15 @@ class TestOls:
 
 
 class TestCheckedCholesky:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_rejected(self, bad):
-        # np.linalg.cholesky returns NaN here without raising
-        a = np.array([[2.0, bad], [bad, 2.0]])
+    @pytest.mark.parametrize("a", [
+        pytest.param([[2.0, np.nan], [np.nan, 2.0]], id="nan"),
+        pytest.param([[2.0, np.inf], [np.inf, 2.0]], id="inf"),
+        pytest.param([[np.inf, 1.0], [1.0, 2.0]], id="inf_diagonal"),
+    ])
+    def test_non_finite_rejected(self, a):
+        # LAPACK returns a NaN factor for the first without an error, and a
+        # NaN pivot passes the rank check; it reports the second as a failed
+        # pivot, which would read as RankDeficient; it factors the third,
+        # whose pivot ratio inf / inf is NaN
         with pytest.raises(NonFinite, match="probe"):
-            _checked_cholesky(a, "probe")
+            _checked_cholesky(np.array(a), "probe")
